@@ -184,6 +184,43 @@ func BenchmarkHelpfsBodyAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkFileOpWindows writes one byte to a window body through the
+// file interface in a session holding 10 or 10,000 windows. A file op
+// drains only the windows it changed, so its cost must not grow with
+// the number of windows open; the two sizes should agree within a few
+// percent.
+func BenchmarkFileOpWindows(b *testing.B) {
+	for _, n := range []int{10, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			w, err := world.Build(120, 60)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for w.Help.WindowCount() < n {
+				w.Help.NewWindow()
+			}
+			win := w.Help.NewWindow()
+			path := fmt.Sprintf("%s/%d/body", world.MountRoot, win.ID)
+			data := []byte("x")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.FS.WriteFile(path, data); err != nil {
+					b.Fatal(err)
+				}
+				if i%4096 == 4095 {
+					// Each write is an undoable replacement; drop the
+					// history they pile up so the session stays the same
+					// size however large b.N grows.
+					b.StopTimer()
+					win.Body.Load("")
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRenderScreen measures a full redraw of a busy screen.
 func BenchmarkRenderScreen(b *testing.B) {
 	w, err := world.Build(120, 60)

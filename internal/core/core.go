@@ -11,6 +11,7 @@ import (
 	"repro/internal/draw"
 	"repro/internal/event"
 	"repro/internal/geom"
+	"repro/internal/journal"
 	"repro/internal/notify"
 	"repro/internal/obs"
 	"repro/internal/shell"
@@ -218,6 +219,14 @@ type Help struct {
 	// sweepExec is the live middle-button sweep, painted underlined.
 	sweepExec *execSweep
 
+	// dirty lists the windows marked since the last drain, each once;
+	// JournalSweep consumes it (see drain.go).
+	dirty []*Window
+
+	// addMem is every buffer's resident-size hook, built once so that
+	// tracking a window allocates nothing for it.
+	addMem func(delta int)
+
 	// lastColSigs holds each column's signature from the previous
 	// Render; a column whose signature is unchanged is not repainted.
 	lastColSigs []colSig
@@ -264,6 +273,7 @@ func New(fs *vfs.FS, sh *shell.Shell, w, h int) *Help {
 	}
 	h9.errorsCap = defaultErrorsCap
 	h9.maxResident = DefaultMaxResident
+	h9.addMem = func(d int) { h9.mMemRunes.Add(int64(d)) }
 	h9.safeFS = fs.Serialized(&h9.mu)
 	h9.procIdle = sync.NewCond(&h9.mu)
 	// Row 0 is the column tab row; columns split the rest side by side.
@@ -433,6 +443,7 @@ func (h *Help) newWindowIn(col *Column) *Window {
 	h.mWindows.Add(1)
 	h.trackWindow(w)
 	h.place(w, col)
+	h.journalNewWindow(w)
 	if h.OnWindowCreated != nil {
 		h.OnWindowCreated(w)
 	}
@@ -452,8 +463,8 @@ func (h *Help) newWindowIn(col *Column) *Window {
 //	little visible, the new window is positioned over the bottom 25% of
 //	the column ... which may entail hiding some windows entirely."
 func (h *Help) place(w *Window, col *Column) {
-	w.col = col
-	w.hidden = false
+	w.setCol(col)
+	w.setHidden(false)
 	top := col.lowestUsedRow()
 	if col.r.Max.Y-top < minVisible {
 		// Stage two: cover half of the lowest window.
@@ -474,12 +485,12 @@ func (h *Help) place(w *Window, col *Column) {
 			// Hide windows this placement covers completely.
 			for _, o := range col.displayed() {
 				if o != w && o.top >= top {
-					o.hidden = true
+					o.setHidden(true)
 				}
 			}
 		}
 	}
-	w.top = top
+	w.setTop(top)
 	col.wins = append(col.wins, w)
 	col.sortWins()
 }
@@ -495,16 +506,13 @@ func (h *Help) Reveal(w *Window) {
 
 func (h *Help) reveal(w *Window) {
 	col := h.colOf(w)
-	w.hidden = false
+	w.setHidden(false)
 	if w.top >= col.r.Max.Y-1 {
-		w.top = col.r.Max.Y - minVisible
-		if w.top < col.r.Min.Y {
-			w.top = col.r.Min.Y
-		}
+		w.setTop(max(col.r.Max.Y-minVisible, col.r.Min.Y))
 	}
 	for _, o := range col.wins {
 		if o != w && !o.hidden && o.top >= w.top {
-			o.hidden = true
+			o.setHidden(true)
 		}
 	}
 	col.sortWins()
@@ -526,7 +534,7 @@ func (h *Help) moveWindow(w *Window, p geom.Point) {
 	if src != dst {
 		src.removeWindow(w)
 		dst.wins = append(dst.wins, w)
-		w.col = dst
+		w.setCol(dst)
 	}
 	top := p.Y
 	if top < dst.r.Min.Y {
@@ -535,8 +543,8 @@ func (h *Help) moveWindow(w *Window, p geom.Point) {
 	if top > dst.r.Max.Y-1 {
 		top = dst.r.Max.Y - 1
 	}
-	w.top = top
-	w.hidden = false
+	w.setTop(top)
+	w.setHidden(false)
 	// Local rearrangement: other displayed windows sharing the row are
 	// nudged down; if they fall off the column they are hidden, keeping at
 	// least w's tag fully visible.
@@ -545,10 +553,10 @@ func (h *Help) moveWindow(w *Window, p geom.Point) {
 			continue
 		}
 		if o.top == w.top {
-			o.top = w.top + 1
+			o.setTop(w.top + 1)
 		}
 		if o.top >= dst.r.Max.Y {
-			o.hidden = true
+			o.setHidden(true)
 		}
 	}
 	dst.sortWins()
@@ -579,7 +587,12 @@ func (h *Help) moveWindowToColumn(w *Window, ci int) {
 func (c *Column) removeWindow(w *Window) {
 	for i, o := range c.wins {
 		if o == w {
-			c.wins = append(c.wins[:i], c.wins[i+1:]...)
+			// Clear the vacated last slot: the backing array outlives
+			// the shortened slice, and a stale pointer there would keep
+			// a closed window and its buffers alive.
+			copy(c.wins[i:], c.wins[i+1:])
+			c.wins[len(c.wins)-1] = nil
+			c.wins = c.wins[:len(c.wins)-1]
 			return
 		}
 	}
@@ -605,6 +618,9 @@ func (h *Help) closeWindow(w *Window) {
 	}
 	if h.errors == w {
 		h.errors = nil
+	}
+	if h.rec != nil {
+		h.rec.emit(&journal.Op{Kind: journal.OpCloseWin, Win: w.ID})
 	}
 	if h.OnWindowClosed != nil {
 		h.OnWindowClosed(w)
@@ -764,19 +780,37 @@ const MemBytesPerRune = 4
 // process-wide budget.
 const memGateRunes = 1024
 
-// trackWindow wires w's buffers into the session's resident-size
-// accounting. Installed at both window-creation choke points (newWindowIn
-// and the recovery path's adoptWindow); untrackWindow reverses it.
+// trackWindow opens w in the session: it joins the dirty set's
+// bookkeeping, its buffers get the splice hook that marks it (and
+// journals their edits), and their sizes join the session's
+// resident-size accounting. Installed at both window-creation choke
+// points (newWindowIn and the recovery path's adoptWindow);
+// untrackWindow reverses it.
 func (h *Help) trackWindow(w *Window) {
+	w.h = h
+	w.mark()
+	h.hookSplice(w, SubTag)
+	h.hookSplice(w, SubBody)
 	h.mMemRunes.Add(int64(w.Tag.MemRunes() + w.Body.MemRunes()))
-	w.Tag.SetOnMem(func(d int) { h.mMemRunes.Add(int64(d)) })
-	w.Body.SetOnMem(func(d int) { h.mMemRunes.Add(int64(d)) })
+	w.Tag.SetOnMem(h.addMem)
+	w.Body.SetOnMem(h.addMem)
 }
 
 func (h *Help) untrackWindow(w *Window) {
+	w.h = nil
+	w.Tag.SetOnSplice(nil)
+	w.Body.SetOnSplice(nil)
 	w.Tag.SetOnMem(nil)
 	w.Body.SetOnMem(nil)
 	h.mMemRunes.Add(-int64(w.Tag.MemRunes() + w.Body.MemRunes()))
+}
+
+// journalNewWindow records w's creation, before OnWindowCreated lets
+// observers (helpfs) journal the files they make for it.
+func (h *Help) journalNewWindow(w *Window) {
+	if h.rec != nil {
+		h.rec.emit(&journal.Op{Kind: journal.OpNewWin, Win: w.ID, Flag: w.IsDir})
+	}
 }
 
 // checkMem is the memory admission check for a body load of addRunes
@@ -842,13 +876,9 @@ func (h *Help) appendErrors(s string) {
 		}
 		w.Body.Delete(0, cut)
 		w.Body.Commit()
-		sel := w.Sel[SubBody]
-		w.Sel[SubBody] = clampSel(Selection{sel.Q0 - cut, sel.Q1 - cut}, w.Body.Len())
-		if w.bodyOrg > cut {
-			w.bodyOrg -= cut
-		} else {
-			w.bodyOrg = 0
-		}
+		sel := w.Sel.q[SubBody]
+		w.setSel(SubBody, clampSel(Selection{sel.Q0 - cut, sel.Q1 - cut}, w.Body.Len()))
+		w.setOrg(max(w.bodyOrg-cut, 0))
 	}
 	// Keep the tail visible, like a log.
 	w.scrollTo(w.Body.Len())
@@ -990,8 +1020,8 @@ func (h *Help) get(w *Window) error {
 			return err
 		}
 		w.Body.SetString(listing)
-		w.Body.SetClean()
-		w.Sel[SubBody] = clampSel(w.Sel[SubBody], w.Body.Len())
+		w.SetModified(false)
+		w.setSel(SubBody, clampSel(w.Sel.q[SubBody], w.Body.Len()))
 		w.RefreshTag()
 		return nil
 	}
@@ -1015,7 +1045,7 @@ func (h *Help) get(w *Window) error {
 		if err := h.loadPagedBody(w, name, info); err != nil {
 			return err
 		}
-		w.Sel[SubBody] = clampSel(w.Sel[SubBody], w.Body.Len())
+		w.setSel(SubBody, clampSel(w.Sel.q[SubBody], w.Body.Len()))
 		w.RefreshTag()
 		return nil
 	}
@@ -1027,9 +1057,9 @@ func (h *Help) get(w *Window) error {
 		return err
 	}
 	w.Body.SetString(string(data))
-	w.Body.SetClean()
+	w.SetModified(false)
 	w.fileGen = gen
-	w.Sel[SubBody] = clampSel(w.Sel[SubBody], w.Body.Len())
+	w.setSel(SubBody, clampSel(w.Sel.q[SubBody], w.Body.Len()))
 	w.RefreshTag()
 	return nil
 }
@@ -1052,7 +1082,7 @@ func (h *Help) put(w *Window, name string) error {
 	if err := h.FS.WriteFile(vfs.Clean(name), []byte(w.Body.String())); err != nil {
 		return err
 	}
-	w.Body.SetClean()
+	w.SetModified(false)
 	// The buffer now matches the file at its post-write generation, so
 	// a Get with no further changes can skip the re-read.
 	w.fileGen = h.FS.Gen(vfs.Clean(name))

@@ -82,7 +82,7 @@ func TestOpenFileAddr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := w.Sel[SubBody]
+	sel := w.Sel.Of(SubBody)
 	if w.Body.LineAt(sel.Q0) != 5 {
 		t.Errorf("selection at line %d", w.Body.LineAt(sel.Q0))
 	}
@@ -396,8 +396,8 @@ func TestExecuteOpenFileLine(t *testing.T) {
 	if opened == nil {
 		t.Fatal("window missing")
 	}
-	if opened.Body.LineAt(opened.Sel[SubBody].Q0) != 5 {
-		t.Errorf("line = %d", opened.Body.LineAt(opened.Sel[SubBody].Q0))
+	if opened.Body.LineAt(opened.Sel.Of(SubBody).Q0) != 5 {
+		t.Errorf("line = %d", opened.Body.LineAt(opened.Sel.Of(SubBody).Q0))
 	}
 }
 
@@ -453,16 +453,16 @@ func TestExecutePattern(t *testing.T) {
 	if got := w.SelectedText(SubBody); got != "beta" {
 		t.Fatalf("selected %q", got)
 	}
-	first := w.Sel[SubBody].Q0
+	first := w.Sel.Of(SubBody).Q0
 	// Again: finds the next occurrence.
 	h.Execute(w, "Pattern beta")
-	if w.Sel[SubBody].Q0 <= first {
-		t.Errorf("second match at %d, first %d", w.Sel[SubBody].Q0, first)
+	if w.Sel.Of(SubBody).Q0 <= first {
+		t.Errorf("second match at %d, first %d", w.Sel.Of(SubBody).Q0, first)
 	}
 	// And wraps.
 	h.Execute(w, "Pattern beta")
-	if w.Sel[SubBody].Q0 != first {
-		t.Errorf("wrap landed at %d", w.Sel[SubBody].Q0)
+	if w.Sel.Of(SubBody).Q0 != first {
+		t.Errorf("wrap landed at %d", w.Sel.Of(SubBody).Q0)
 	}
 	// Missing pattern reports to Errors.
 	h.Execute(w, "Pattern zebra")

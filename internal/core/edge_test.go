@@ -77,8 +77,8 @@ func TestOpenCharAddress(t *testing.T) {
 	if opened == nil {
 		t.Fatal("window missing")
 	}
-	if opened.Sel[SubBody].Q0 != 10 {
-		t.Errorf("selection at %d", opened.Sel[SubBody].Q0)
+	if opened.Sel.Of(SubBody).Q0 != 10 {
+		t.Errorf("selection at %d", opened.Sel.Of(SubBody).Q0)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestTypingScrollsToFollowCursor(t *testing.T) {
 	h.HandleAll(event.Type("z"))
 	h.Render()
 	f := w.frameFor(SubBody)
-	if f == nil || !f.Visible(w.Sel[SubBody].Q0) {
+	if f == nil || !f.Visible(w.Sel.Of(SubBody).Q0) {
 		t.Error("cursor scrolled out of view while typing")
 	}
 }

@@ -126,13 +126,13 @@ func (h *Help) execute(w *Window, cmd string) *proc {
 		// An extension the paper lists as overdue future work.
 		if cw, _ := h.current(); cw != nil {
 			cw.Body.Undo()
-			cw.Sel[SubBody] = clampSel(cw.Sel[SubBody], cw.Body.Len())
+			cw.setSel(SubBody, clampSel(cw.Sel.q[SubBody], cw.Body.Len()))
 			cw.RefreshTag()
 		}
 	case "Redo":
 		if cw, _ := h.current(); cw != nil {
 			cw.Body.Redo()
-			cw.Sel[SubBody] = clampSel(cw.Sel[SubBody], cw.Body.Len())
+			cw.setSel(SubBody, clampSel(cw.Sel.q[SubBody], cw.Body.Len()))
 			cw.RefreshTag()
 		}
 	case "Close!":
@@ -230,7 +230,7 @@ func (h *Help) exitCmd() {
 // the raw namespace view (the serialized view would self-deadlock).
 func (h *Help) sendCmd(w *Window) {
 	line := ""
-	if cw, csub := h.current(); cw != nil && csub == SubBody && !cw.Sel[SubBody].Empty() {
+	if cw, csub := h.current(); cw != nil && csub == SubBody && !cw.Sel.q[SubBody].Empty() {
 		w = cw
 		line = cw.SelectedText(SubBody)
 	} else {
@@ -288,14 +288,14 @@ func (h *Help) cloneCmd(w *Window) {
 	// and lazy, so cloning a paged gigabyte window never materializes
 	// it (and a mem window copies runes once instead of encoding to a
 	// string and decoding back).
-	nw.Body.AdoptClone(w.Body)
+	h.swapBody(nw, func() error { nw.Body.AdoptClone(w.Body); return nil })
 	if w.Body.Modified() {
-		nw.Body.SetDirty()
+		nw.SetModified(true)
 	}
 	nw.SetNameTag(name)
 	nw.fileGen = w.fileGen
-	nw.bodyOrg = w.bodyOrg
-	nw.Sel[SubBody] = w.Sel[SubBody]
+	nw.setOrg(w.bodyOrg)
+	nw.setSel(SubBody, w.Sel.q[SubBody])
 }
 
 // openCmd implements Open with the paper's default rules. With arguments,
@@ -313,7 +313,7 @@ func (h *Help) openCmd(w *Window, args []string) {
 			return
 		}
 		buf := cw.Buffer(csub)
-		sel := cw.Sel[csub]
+		sel := cw.Sel.q[csub]
 		var name string
 		if sel.Empty() {
 			q0, q1 := expandFilename(buf, sel.Q0)
@@ -357,7 +357,7 @@ func (h *Help) patternCmd(args []string) {
 	}
 	body := cw.Body.String()
 	runes := []rune(body)
-	start := cw.Sel[SubBody].Q1
+	start := cw.Sel.q[SubBody].Q1
 	idx := indexRunes(runes, []rune(pat), start)
 	if idx < 0 {
 		idx = indexRunes(runes, []rune(pat), 0) // wrap
@@ -366,7 +366,7 @@ func (h *Help) patternCmd(args []string) {
 		h.appendErrors(fmt.Sprintf("Pattern: %q not found\n", pat))
 		return
 	}
-	cw.Sel[SubBody] = Selection{idx, idx + len([]rune(pat))}
+	cw.setSel(SubBody, Selection{idx, idx + len([]rune(pat))})
 	cw.scrollTo(idx)
 	h.setCurrent(cw, SubBody)
 }
@@ -398,7 +398,7 @@ func (h *Help) textCmd(s string) {
 	if cw == nil {
 		return
 	}
-	sel := cw.Sel[csub]
+	sel := cw.Sel.q[csub]
 	buf := cw.Buffer(csub)
 	buf.Commit()
 	if !sel.Empty() {
@@ -406,7 +406,7 @@ func (h *Help) textCmd(s string) {
 	}
 	buf.Insert(sel.Q0, s)
 	buf.Commit()
-	cw.Sel[csub] = Selection{sel.Q0, sel.Q0 + len([]rune(s))}
+	cw.setSel(csub, Selection{sel.Q0, sel.Q0 + len([]rune(s))})
 	if csub == SubBody && !cw.IsDir {
 		cw.RefreshTag()
 	}
@@ -480,7 +480,7 @@ func (h *Help) setHelpsel(ctx *shell.Context) {
 	if cw == nil {
 		return
 	}
-	sel := cw.Sel[csub]
+	sel := cw.Sel.q[csub]
 	ctx.Set("helpsel", []string{fmt.Sprintf("%d:%d,%d", cw.ID, sel.Q0, sel.Q1)})
 }
 

@@ -124,7 +124,7 @@ func TestAppendErrorsTrimsFront(t *testing.T) {
 	if !strings.HasSuffix(body, line) {
 		t.Fatal("trim discarded the newest output")
 	}
-	sel := w.Sel[SubBody]
+	sel := w.Sel.Of(SubBody)
 	if sel.Q0 < 0 || sel.Q1 > w.Body.Len() || sel.Q0 > sel.Q1 {
 		t.Fatalf("selection %+v out of range after trim", sel)
 	}

@@ -150,7 +150,7 @@ func (h *Help) scrollGesture(w *Window, g event.Gesture) {
 		if target < 1 {
 			target = 1
 		}
-		w.bodyOrg = w.Body.LineStart(target)
+		w.setOrg(w.Body.LineStart(target))
 	}
 }
 
@@ -206,21 +206,21 @@ func (h *Help) typeRune(r rune) {
 	}
 	w, sub := ht.win, ht.sub
 	buf := w.Buffer(sub)
-	sel := w.Sel[sub]
+	sel := w.Sel.q[sub]
 	if r == '\b' || r == 0x7f {
 		if !sel.Empty() {
 			buf.Delete(sel.Q0, sel.Q1-sel.Q0)
-			w.Sel[sub] = Selection{sel.Q0, sel.Q0}
+			w.setSel(sub, Selection{sel.Q0, sel.Q0})
 		} else if sel.Q0 > 0 {
 			buf.Delete(sel.Q0-1, 1)
-			w.Sel[sub] = Selection{sel.Q0 - 1, sel.Q0 - 1}
+			w.setSel(sub, Selection{sel.Q0 - 1, sel.Q0 - 1})
 		}
 	} else {
 		if !sel.Empty() {
 			buf.Delete(sel.Q0, sel.Q1-sel.Q0)
 		}
 		buf.Insert(sel.Q0, string(r))
-		w.Sel[sub] = Selection{sel.Q0 + 1, sel.Q0 + 1}
+		w.setSel(sub, Selection{sel.Q0 + 1, sel.Q0 + 1})
 	}
 	h.setCurrent(w, sub)
 	if sub == SubBody && !w.IsDir {
@@ -239,7 +239,7 @@ func (h *Help) keepVisible(w *Window, sub int) {
 	if f == nil {
 		return
 	}
-	q := w.Sel[SubBody].Q0
+	q := w.Sel.q[SubBody].Q0
 	if q < f.Org() || q > f.MaxOff() {
 		w.scrollTo(q)
 	}
@@ -257,7 +257,7 @@ func (h *Help) cut() {
 	if w == nil {
 		return
 	}
-	sel := w.Sel[sub]
+	sel := w.Sel.q[sub]
 	if sel.Empty() {
 		return
 	}
@@ -265,7 +265,7 @@ func (h *Help) cut() {
 	buf.Commit()
 	h.snarf = buf.Delete(sel.Q0, sel.Q1-sel.Q0)
 	buf.Commit()
-	w.Sel[sub] = Selection{sel.Q0, sel.Q0}
+	w.setSel(sub, Selection{sel.Q0, sel.Q0})
 	if sub == SubBody && !w.IsDir {
 		w.RefreshTag()
 	}
@@ -284,7 +284,7 @@ func (h *Help) snarfSel() {
 	if w == nil {
 		return
 	}
-	sel := w.Sel[sub]
+	sel := w.Sel.q[sub]
 	if sel.Empty() {
 		return
 	}
@@ -304,7 +304,7 @@ func (h *Help) paste() {
 	if w == nil {
 		return
 	}
-	sel := w.Sel[sub]
+	sel := w.Sel.q[sub]
 	buf := w.Buffer(sub)
 	buf.Commit()
 	if !sel.Empty() {
@@ -312,7 +312,7 @@ func (h *Help) paste() {
 	}
 	buf.Insert(sel.Q0, h.snarf)
 	buf.Commit()
-	w.Sel[sub] = Selection{sel.Q0, sel.Q0 + len([]rune(h.snarf))}
+	w.setSel(sub, Selection{sel.Q0, sel.Q0 + len([]rune(h.snarf))})
 	if sub == SubBody && !w.IsDir {
 		w.RefreshTag()
 	}
@@ -336,5 +336,5 @@ func (h *Help) pointOfSelection() (geom.Point, bool) {
 	if f == nil {
 		return geom.Point{}, false
 	}
-	return f.PointOf(w.Sel[sub].Q0)
+	return f.PointOf(w.Sel.q[sub].Q0)
 }

@@ -71,7 +71,7 @@ func TestClickNullSelection(t *testing.T) {
 	w, _ := h.OpenFile("/usr/rob/src/help/help.c", "")
 	p := pointOf(t, h, w, "main")
 	h.HandleAll(event.Click(event.Left, p))
-	sel := w.Sel[SubBody]
+	sel := w.Sel.Of(SubBody)
 	if !sel.Empty() {
 		t.Errorf("click selection = %+v", sel)
 	}

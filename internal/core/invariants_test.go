@@ -24,7 +24,7 @@ func checkInvariants(t *testing.T, h *Help) {
 	t.Helper()
 	for _, w := range h.Windows() {
 		for sub := 0; sub < 2; sub++ {
-			sel := w.Sel[sub]
+			sel := w.Sel.Of(sub)
 			n := w.Buffer(sub).Len()
 			if sel.Q0 < 0 || sel.Q1 < sel.Q0 || sel.Q1 > n {
 				t.Fatalf("window %d sub %d: selection %+v out of [0,%d]", w.ID, sub, sel, n)
@@ -186,7 +186,7 @@ func TestSelectionClampProperty(t *testing.T) {
 	n := w.Body.Len()
 	f := func(q0, q1 int16) bool {
 		w.SetSelection(SubBody, int(q0), int(q1))
-		sel := w.Sel[SubBody]
+		sel := w.Sel.Of(SubBody)
 		return sel.Q0 >= 0 && sel.Q0 <= sel.Q1 && sel.Q1 <= n
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -216,7 +216,7 @@ func TestEditKeepsSelectionsValid(t *testing.T) {
 		case 3:
 			h.Cut()
 		}
-		w.Sel[SubBody] = clampSel(w.Sel[SubBody], w.Body.Len())
+		w.setSel(SubBody, clampSel(w.Sel.Of(SubBody), w.Body.Len()))
 		checkInvariants(t, h)
 	}
 }

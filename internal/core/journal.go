@@ -19,14 +19,18 @@ import (
 //     funnels through — text.Buffer's primitive splice hook — so
 //     typing, Cut, Paste, Undo, Redo, Get!, and file-interface writes
 //     all journal identically, as OpSplice records.
-//   - Everything else (selections, focus, layout, scroll, snarf,
-//     clean/dirty flags) is captured by a shadow-state sweep that runs
-//     at the end of each top-level interaction and emits one record
-//     per observed difference. The sweep makes the journal independent
-//     of *why* state changed: a placement heuristic's side effects are
+//   - Everything else per window (selections, layout, scroll, clean
+//     flags) is captured by the drain (drain.go): mutations mark their
+//     window dirty, and at the end of each top-level interaction the
+//     drain compares only the dirty windows against their shadows,
+//     emitting one record per observed difference. The session-global
+//     fields (focus, snarf, column split, Errors window) are compared
+//     on every drain. The journal is thereby independent of *why*
+//     state changed: a placement heuristic's side effects are
 //     journaled as the moves it made, so replay never re-runs the
 //     heuristic and cannot diverge from it.
-//   - Namespace mutations (Put, tool output, mkdir, bind) arrive
+//   - Window creation and close are journaled where they happen, and
+//     namespace mutations (Put, tool output, mkdir, bind) arrive
 //     through vfs's mutation hook as OpFile records.
 //
 // Recovery = restore the latest checkpoint snapshot, then apply the op
@@ -41,27 +45,13 @@ type Recorder struct {
 	every int // checkpoint after this many ops
 	since int
 
-	// Shadow state for the sweep diff.
+	// Shadow of the session-global state; per-window shadows live in
+	// each Window (see winShadow).
 	split    int
 	curWin   int
 	curSub   int
 	snarf    string
 	errorsID int
-	shadows  map[int]*winShadow
-	order    []int // shadow IDs, sorted: the sweep's iteration order
-}
-
-// winShadow mirrors the swept per-window fields. A fresh window gets
-// col = -1, a sentinel no real window matches, so the first sweep
-// after creation always emits its placement.
-type winShadow struct {
-	col      int
-	top      int
-	hidden   bool
-	isDir    bool
-	org      int
-	sel      [2]Selection
-	modified bool
 }
 
 // AttachJournal connects h to jw: every subsequent mutation is
@@ -76,38 +66,18 @@ func (h *Help) AttachJournal(jw *journal.Writer, checkpointEvery int) *Recorder 
 		checkpointEvery = 2048
 	}
 	rec := &Recorder{
-		h:       h,
-		w:       jw,
-		every:   checkpointEvery,
-		shadows: map[int]*winShadow{},
+		h:     h,
+		w:     jw,
+		every: checkpointEvery,
 	}
 	h.rec = rec
 	jw.SetObs(h.Obs)
 
-	for _, w := range h.windows() {
-		rec.hookBuffers(w)
-		rec.shadows[w.ID] = rec.shadowOf(w)
-		rec.insertOrder(w.ID)
-	}
+	h.resetJournalShadows()
 	rec.split = h.cols[0].r.Max.X
 	rec.curWin, rec.curSub = rec.currentIDs()
 	rec.snarf = h.snarf
 	rec.errorsID = h.errorsID()
-
-	prevCreated := h.OnWindowCreated
-	h.OnWindowCreated = func(w *Window) {
-		rec.windowCreated(w)
-		if prevCreated != nil {
-			prevCreated(w)
-		}
-	}
-	prevClosed := h.OnWindowClosed
-	h.OnWindowClosed = func(w *Window) {
-		rec.windowClosed(w)
-		if prevClosed != nil {
-			prevClosed(w)
-		}
-	}
 	h.FS.SetOnMutate(rec.fsMutated)
 
 	jw.Checkpoint(encodeSnapshot(h))
@@ -137,18 +107,6 @@ func (h *Help) errorsID() int {
 	return h.errors.ID
 }
 
-func (rec *Recorder) shadowOf(w *Window) *winShadow {
-	return &winShadow{
-		col:      rec.h.colIndex(w.col),
-		top:      w.top,
-		hidden:   w.hidden,
-		isDir:    w.IsDir,
-		org:      w.bodyOrg,
-		sel:      w.Sel,
-		modified: w.Body.Modified(),
-	}
-}
-
 // colIndex returns the index of col in h.cols, 0 as a fallback.
 func (h *Help) colIndex(col *Column) int {
 	for i, c := range h.cols {
@@ -159,51 +117,9 @@ func (h *Help) colIndex(col *Column) int {
 	return 0
 }
 
-func (rec *Recorder) hookBuffers(w *Window) {
-	id := w.ID
-	w.Tag.SetOnSplice(func(off, ndel int, ins string) {
-		rec.emit(&journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubTag, P0: off, P1: ndel, Str1: ins})
-	})
-	w.Body.SetOnSplice(func(off, ndel int, ins string) {
-		rec.emit(&journal.Op{Kind: journal.OpSplice, Win: id, Sub: SubBody, P0: off, P1: ndel, Str1: ins})
-	})
-}
-
 func (rec *Recorder) emit(op *journal.Op) {
 	rec.w.Append(op)
 	rec.since++
-}
-
-func (rec *Recorder) windowCreated(w *Window) {
-	rec.hookBuffers(w)
-	sh := rec.shadowOf(w)
-	sh.col = -1 // sentinel: first sweep must emit placement
-	rec.shadows[w.ID] = sh
-	rec.insertOrder(w.ID)
-	rec.emit(&journal.Op{Kind: journal.OpNewWin, Win: w.ID, Flag: w.IsDir})
-}
-
-func (rec *Recorder) windowClosed(w *Window) {
-	delete(rec.shadows, w.ID)
-	rec.removeOrder(w.ID)
-	rec.emit(&journal.Op{Kind: journal.OpCloseWin, Win: w.ID})
-}
-
-func (rec *Recorder) insertOrder(id int) {
-	i := sort.SearchInts(rec.order, id)
-	if i < len(rec.order) && rec.order[i] == id {
-		return
-	}
-	rec.order = append(rec.order, 0)
-	copy(rec.order[i+1:], rec.order[i:])
-	rec.order[i] = id
-}
-
-func (rec *Recorder) removeOrder(id int) {
-	i := sort.SearchInts(rec.order, id)
-	if i < len(rec.order) && rec.order[i] == id {
-		rec.order = append(rec.order[:i], rec.order[i+1:]...)
-	}
 }
 
 func (rec *Recorder) fsMutated(kind vfs.MutKind, p string, data []byte, aux string, flag int) {
@@ -214,27 +130,10 @@ func (rec *Recorder) fsMutated(kind vfs.MutKind, p string, data []byte, aux stri
 	rec.emit(&journal.Op{Kind: journal.OpFile, P0: int(kind), P1: flag, Str1: p, Str2: str2})
 }
 
-// JournalSweep diffs the session state against the recorder's shadows
-// and journals every difference, then writes a checkpoint if the op
-// budget since the last one is spent. It runs at the end of every
-// top-level interaction (event, command, file-interface operation); a
-// quiescent sweep emits nothing. It must never take help down, so it
-// recovers its own panics.
-func (h *Help) JournalSweep() {
-	defer func() { recover() }()
-	// The notify sweep rides the same interaction boundary: whatever
-	// reached a sweep point is also what subscribers should hear about.
-	h.notifySweep()
-	rec := h.rec
-	if rec == nil {
-		return
-	}
-	rec.sweep()
-}
-
-func (rec *Recorder) sweep() {
+// sweepGlobals journals the session-global fields that moved since the
+// last drain; each is O(1) to compare.
+func (rec *Recorder) sweepGlobals() {
 	h := rec.h
-
 	if cw, cs := rec.currentIDs(); cw != rec.curWin || cs != rec.curSub {
 		rec.curWin, rec.curSub = cw, cs
 		rec.emit(&journal.Op{Kind: journal.OpCurrent, Win: cw, Sub: cs})
@@ -250,59 +149,6 @@ func (rec *Recorder) sweep() {
 	if eid := h.errorsID(); eid != rec.errorsID {
 		rec.errorsID = eid
 		rec.emit(&journal.Op{Kind: journal.OpErrors, Win: eid})
-	}
-	if len(rec.shadows) != len(h.byID) {
-		// Shouldn't happen (creation and close are hooked), but journal
-		// the strays rather than lose them.
-		for _, w := range h.windows() {
-			if rec.shadows[w.ID] == nil {
-				rec.windowCreated(w)
-			}
-		}
-		for _, id := range append([]int(nil), rec.order...) {
-			if h.byID[id] == nil {
-				delete(rec.shadows, id)
-				rec.removeOrder(id)
-				rec.emit(&journal.Op{Kind: journal.OpCloseWin, Win: id})
-			}
-		}
-	}
-	for _, id := range rec.order {
-		w := h.byID[id]
-		if w == nil {
-			continue
-		}
-		sh := rec.shadows[w.ID]
-		col := h.colIndex(w.col)
-		if col != sh.col || w.top != sh.top || w.hidden != sh.hidden || w.IsDir != sh.isDir {
-			sh.col, sh.top, sh.hidden, sh.isDir = col, w.top, w.hidden, w.IsDir
-			bits := 0
-			if w.hidden {
-				bits |= 1
-			}
-			if w.IsDir {
-				bits |= 2
-			}
-			rec.emit(&journal.Op{Kind: journal.OpPlace, Win: w.ID, P0: col, P1: w.top, P2: bits})
-		}
-		if w.bodyOrg != sh.org {
-			sh.org = w.bodyOrg
-			rec.emit(&journal.Op{Kind: journal.OpScroll, Win: w.ID, P0: w.bodyOrg})
-		}
-		for sub := 0; sub < 2; sub++ {
-			if w.Sel[sub] != sh.sel[sub] {
-				sh.sel[sub] = w.Sel[sub]
-				rec.emit(&journal.Op{Kind: journal.OpSelect, Win: w.ID, Sub: sub, P0: w.Sel[sub].Q0, P1: w.Sel[sub].Q1})
-			}
-		}
-		if m := w.Body.Modified(); m != sh.modified {
-			sh.modified = m
-			rec.emit(&journal.Op{Kind: journal.OpClean, Win: w.ID, Flag: !m})
-		}
-	}
-	if rec.since >= rec.every {
-		rec.since = 0
-		rec.w.Checkpoint(encodeSnapshot(h))
 	}
 }
 
@@ -320,7 +166,8 @@ func (h *Help) recoverPanic(where string) {
 // PanicReport handles a recovered panic: count it, flush the journal
 // (the record of how we got here must survive), write a crash report
 // next to the journal, and surface the fault through the Errors window.
-// Reporting must never re-panic. Like JournalSweep, it runs with the
+// Reporting must never re-panic, and it never drains: JournalSweep's own
+// guard reports through it. Like JournalSweep, it runs with the
 // actor lock already held: its callers are in-loop guards and device
 // handlers reached through the serialized namespace view.
 func (h *Help) PanicReport(where string, r any, stack []byte) {
@@ -462,8 +309,8 @@ func encodeSnapshot(h *Help) []byte {
 		b = appendStr(b, w.Tag.String())
 		b = appendStr(b, w.Body.String())
 		for sub := 0; sub < 2; sub++ {
-			b = appendInt(b, w.Sel[sub].Q0)
-			b = appendInt(b, w.Sel[sub].Q1)
+			b = appendInt(b, w.Sel.q[sub].Q0)
+			b = appendInt(b, w.Sel.q[sub].Q1)
 		}
 		b = appendBool(b, w.Body.Modified())
 	}
@@ -727,12 +574,12 @@ func restoreSnapshot(h *Help, snap *snapshot) error {
 		w.Tag.Load(sw.tag)
 		w.Body.Load(sw.body)
 		if sw.modified {
-			w.Body.SetDirty()
+			w.SetModified(true)
 		}
 		placeAdopted(h, w, sw.col, sw.top, sw.hidden, sw.isDir)
-		w.bodyOrg = clampOrg(sw.org, w.Body.Len())
+		w.setOrg(clampOrg(sw.org, w.Body.Len()))
 		for sub := 0; sub < 2; sub++ {
-			w.Sel[sub] = clampSel(sw.sel[sub], w.Buffer(sub).Len())
+			w.setSel(sub, clampSel(sw.sel[sub], w.Buffer(sub).Len()))
 		}
 	}
 	if snap.nextID > h.nextID {
@@ -760,11 +607,12 @@ func (h *Help) adoptWindow(id int) *Window {
 		h.nextID = id + 1
 	}
 	col := h.cols[0]
-	w.col = col
-	w.top = col.r.Min.Y
-	w.hidden = true // until the journaled placement arrives
+	w.setCol(col)
+	w.setTop(col.r.Min.Y)
+	w.setHidden(true) // until the journaled placement arrives
 	col.wins = append(col.wins, w)
 	col.sortWins()
+	h.journalNewWindow(w)
 	if h.OnWindowCreated != nil {
 		h.OnWindowCreated(w)
 	}
@@ -779,7 +627,7 @@ func placeAdopted(h *Help, w *Window, colIdx, top int, hidden, isDir bool) {
 	if w.col != dst {
 		h.colOf(w).removeWindow(w)
 		dst.wins = append(dst.wins, w)
-		w.col = dst
+		w.setCol(dst)
 	}
 	if top < dst.r.Min.Y {
 		top = dst.r.Min.Y
@@ -787,9 +635,12 @@ func placeAdopted(h *Help, w *Window, colIdx, top int, hidden, isDir bool) {
 	if top > dst.r.Max.Y-1 {
 		top = dst.r.Max.Y - 1
 	}
-	w.top = top
-	w.hidden = hidden
-	w.IsDir = isDir
+	w.setTop(top)
+	w.setHidden(hidden)
+	if w.IsDir != isDir {
+		w.IsDir = isDir
+		w.mark()
+	}
 	dst.sortWins()
 }
 
@@ -828,9 +679,9 @@ func applyOp(h *Help, op *journal.Op) error {
 			return err
 		}
 		if op.Flag {
-			w.Body.SetClean()
+			w.SetModified(false)
 		} else {
-			w.Body.SetDirty()
+			w.SetModified(true)
 		}
 	case journal.OpSelect:
 		w, err := needWin()
@@ -876,7 +727,7 @@ func applyOp(h *Help, op *journal.Op) error {
 		if err != nil {
 			return err
 		}
-		w.bodyOrg = clampOrg(op.P0, w.Body.Len())
+		w.setOrg(clampOrg(op.P0, w.Body.Len()))
 	case journal.OpColSplit:
 		if len(h.cols) == 2 && op.P0 > 0 && op.P0 < h.screen.Bounds().Dx() {
 			h.cols[0].r.Max.X = op.P0

@@ -1,21 +1,22 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/notify"
 	"repro/internal/shell"
 )
 
-// This file threads the notify bus through the session. Emission sites
-// mirror the journal's: discrete transitions (window create/close,
-// command execution, faults via the obs sink) publish where they
-// happen, while text changes are announced by a sweep that compares
-// buffer generations at the end of each top-level interaction — the
-// same choke points JournalSweep runs at — so typing, Cut, Paste,
-// Undo, Get!, and file-interface writes all produce the same "body"
-// (or "tag") event, coalesced per interaction rather than per rune.
+// This file threads the notify bus through the session. Discrete
+// transitions (window create/close, command execution, faults via the
+// obs sink) publish where they happen. Text changes are announced by
+// the drain (drain.go): the splice hook marks an edited window dirty,
+// and at the end of each top-level interaction — the same choke points
+// the journal is captured at — the drain compares each dirty window's
+// buffer generations against the ones it last announced. So typing,
+// Cut, Paste, Undo, Get!, and file-interface writes all produce the
+// same "body" (or "tag") event, coalesced per interaction rather than
+// per rune, and a window nobody touched costs the drain nothing.
 
 // winID is the window id used for event attribution, 0 when there is
 // no window context.
@@ -24,42 +25,6 @@ func winID(w *Window) int {
 		return 0
 	}
 	return w.ID
-}
-
-// notifySweep publishes a body/tag event for every window whose buffer
-// generation moved since the last sweep. Runs under the actor lock; it
-// is O(windows) with two integer compares each, cheap enough to leave
-// on unconditionally. The published generation is in vfs gen space
-// (text gen + 1, matching what /mnt/help/<n>/body reports through
-// Stat), so a remote cache can compare it against its own entries.
-func (h *Help) notifySweep() {
-	b := h.Notify
-	if b == nil {
-		return
-	}
-	// Formatting the generation costs an allocation per event; while
-	// nobody has ever listened (b.Armed), publish the bare skeleton
-	// instead — resume still works, and a consumer that later backfills
-	// a detail-less body event must treat the generation as unknown
-	// (assume stale). This keeps the append hot path at its pre-notify
-	// alloc count for the common session no one watches.
-	armed := b.Armed()
-	genDetail := func(g uint64) string {
-		if !armed {
-			return ""
-		}
-		return string(strconv.AppendUint([]byte("gen "), g+1, 10))
-	}
-	for _, w := range h.byID {
-		if g := w.Body.Gen(); g != w.notifiedBody {
-			w.notifiedBody = g
-			b.Publish(w.ID, "body", genDetail(g))
-		}
-		if g := w.Tag.Gen(); g != w.notifiedTag {
-			w.notifiedTag = g
-			b.Publish(w.ID, "tag", genDetail(g))
-		}
-	}
 }
 
 // watchCmd implements the Watch built-in: `Watch cmd args...` runs the

@@ -81,7 +81,7 @@ func (h *Help) loadPagedBody(w *Window, name string, info vfs.Info) error {
 		return err
 	}
 	src := &fsSource{h: h, name: name, gen: info.Gen, size: info.Size}
-	if err := w.Body.LoadPaged(src, h.maxResident); err != nil {
+	if err := h.swapBody(w, func() error { return w.Body.LoadPaged(src, h.maxResident) }); err != nil {
 		h.Obs.Counter("core.paged.fallback").Inc()
 		return err
 	}

@@ -61,8 +61,8 @@ func (h *Help) colSignature(col *Column) colSig {
 			tagGen:   w.Tag.Gen(),
 			bodyGen:  w.Body.Gen(),
 			bodyOrg:  w.bodyOrg,
-			selTag:   w.Sel[SubTag],
-			selBody:  w.Sel[SubBody],
+			selTag:   w.Sel.q[SubTag],
+			selBody:  w.Sel.q[SubBody],
 			cur:      -1,
 			sweepSub: -1,
 		}
@@ -229,7 +229,7 @@ func (h *Help) renderWindow(col *Column, w *Window) {
 	bodyRect := geom.Rt(area.Min.X+1, w.top+1, area.Max.X, w.top+span)
 	barRect := geom.Rt(area.Min.X, w.top+1, area.Min.X+1, w.top+span)
 	if w.bodyOrg > w.Body.Len() {
-		w.bodyOrg = w.Body.Len()
+		w.setOrg(w.Body.Len())
 	}
 	w.bodyFrame = frame.Reuse(w.bodyFrame, w.Body, bodyRect, w.bodyOrg)
 	h.renderSub(w, SubBody, w.bodyFrame, draw.Plain)
@@ -239,7 +239,7 @@ func (h *Help) renderWindow(col *Column, w *Window) {
 // renderSub paints one subwindow's frame with its selection in the proper
 // attribute, preserving the background attribute bg for unselected cells.
 func (h *Help) renderSub(w *Window, sub int, f *frame.Frame, bg draw.Attr) {
-	sel := w.Sel[sub]
+	sel := w.Sel.q[sub]
 	attr := draw.Outline
 	if h.curWin == w && h.curSub == sub {
 		attr = draw.Reverse

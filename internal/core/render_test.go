@@ -27,7 +27,7 @@ func barString(h *Help, w *Window, rows int) string {
 // bodyOfLines gives w a body of exactly n lines and scrolls to topLine.
 func bodyOfLines(w *Window, n, topLine int) {
 	w.Body = text.NewBuffer(strings.Repeat("line\n", n))
-	w.bodyOrg = w.Body.LineStart(topLine)
+	w.setOrg(w.Body.LineStart(topLine))
 }
 
 // Golden scroll-bar geometry. The extent must show the visible fraction
@@ -42,13 +42,13 @@ func TestScrollBarGeometry(t *testing.T) {
 		total, topLine int
 		want           string
 	}{
-		{1, 1, "##########"},        // total = 1: everything visible
-		{rows - 1, 1, "##########"}, // total = rows-1
-		{rows, 1, "##########"},     // total = rows: exactly fills
-		{10 * rows, 1, "#........."},   // total = 10·rows: 1/10 visible at top
-		{10 * rows, 51, ".....#...."},  // mid-file: position = origin fraction
-		{10 * rows, 96, ".........#"},  // near EOF: 5 lines left, bar pinned low
-		{15, 11, "......###."},         // total>rows, tail shorter than a screen:
+		{1, 1, "##########"},          // total = 1: everything visible
+		{rows - 1, 1, "##########"},   // total = rows-1
+		{rows, 1, "##########"},       // total = rows: exactly fills
+		{10 * rows, 1, "#........."},  // total = 10·rows: 1/10 visible at top
+		{10 * rows, 51, ".....#...."}, // mid-file: position = origin fraction
+		{10 * rows, 96, ".........#"}, // near EOF: 5 lines left, bar pinned low
+		{15, 11, "......###."},        // total>rows, tail shorter than a screen:
 		// 5 of 15 lines visible from line 11 — extent 3, not the old 6.
 	}
 	for _, c := range cases {

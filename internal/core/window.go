@@ -36,11 +36,15 @@ type Window struct {
 	Body *text.Buffer
 
 	// Sel holds the selection of each subwindow (SubTag, SubBody).
-	Sel [2]Selection
+	Sel Selections
 
 	// top is the row of the tag line within the column; the window's
 	// displayed region runs from top to the top of the next displayed
 	// window below it (or the column bottom).
+	//
+	// Sel, top, hidden, col and bodyOrg are written only through the
+	// setters below, which mark the window for the next drain (see
+	// drain.go); TestTrackedFieldsUseSetters enforces it.
 	top    int
 	hidden bool
 	col    *Column
@@ -62,11 +66,25 @@ type Window struct {
 	// stat to skip re-reading a file that has not moved.
 	fileGen uint64
 
-	// notifiedBody and notifiedTag are the buffer generations the last
-	// notify sweep announced; see Help.notifySweep.
-	notifiedBody uint64
-	notifiedTag  uint64
+	// h is the session the window is open in, nil once it is closed;
+	// mark reaches the session's dirty set through it. dirty reports
+	// that the window is already in that set, and seen is what the last
+	// drain saw of it.
+	h     *Help
+	dirty bool
+	seen  winShadow
 }
+
+// Selections holds a window's two selections, indexed by subwindow.
+// The pair is unexported so that every change goes through the
+// window's setters, which mark the window for the next drain.
+type Selections struct{ q [2]Selection }
+
+// Of returns the selection of subwindow sub.
+func (s Selections) Of(sub int) Selection { return s.q[sub] }
+
+// String formats the pair as the plain array it wraps.
+func (s Selections) String() string { return fmt.Sprint(s.q) }
 
 // newWindow builds an empty window with the given id.
 func newWindow(id int) *Window {
@@ -74,7 +92,65 @@ func newWindow(id int) *Window {
 		ID:   id,
 		Tag:  text.NewBuffer(""),
 		Body: text.NewBuffer(""),
+		seen: winShadow{col: -1},
 	}
+}
+
+// mark puts w in its session's dirty set, once per drain. Every
+// mutation of state the journal or the notify stream reports calls it:
+// the buffers' splice hook, the setters below, and SetModified.
+func (w *Window) mark() {
+	if w.dirty || w.h == nil {
+		return
+	}
+	w.dirty = true
+	w.h.dirty = append(w.h.dirty, w)
+}
+
+func (w *Window) setSel(sub int, s Selection) {
+	if w.Sel.q[sub] != s {
+		w.Sel.q[sub] = s
+		w.mark()
+	}
+}
+
+func (w *Window) setOrg(org int) {
+	if w.bodyOrg != org {
+		w.bodyOrg = org
+		w.mark()
+	}
+}
+
+func (w *Window) setTop(top int) {
+	if w.top != top {
+		w.top = top
+		w.mark()
+	}
+}
+
+func (w *Window) setHidden(hidden bool) {
+	if w.hidden != hidden {
+		w.hidden = hidden
+		w.mark()
+	}
+}
+
+func (w *Window) setCol(c *Column) {
+	if w.col != c {
+		w.col = c
+		w.mark()
+	}
+}
+
+// SetModified marks the body modified or clean without editing it, as
+// Put!, Get! and the file interface's clean and dirty messages do.
+func (w *Window) SetModified(modified bool) {
+	if modified {
+		w.Body.SetDirty()
+	} else {
+		w.Body.SetClean()
+	}
+	w.mark()
 }
 
 // FileName returns the first space-separated word of the tag: the name of
@@ -130,7 +206,7 @@ func (w *Window) setTagLine(name string, modified bool) {
 	w.Tag.SetString(b.String())
 	w.Tag.SetClean()
 	// Editing the tag must not leave a stale selection.
-	w.Sel[SubTag] = clampSel(w.Sel[SubTag], w.Tag.Len())
+	w.setSel(SubTag, clampSel(w.Sel.q[SubTag], w.Tag.Len()))
 }
 
 func clampSel(s Selection, n int) Selection {
@@ -162,12 +238,12 @@ func (w *Window) SetSelection(sub int, q0, q1 int) {
 	if q1 < q0 {
 		q0, q1 = q1, q0
 	}
-	w.Sel[sub] = clampSel(Selection{q0, q1}, w.Buffer(sub).Len())
+	w.setSel(sub, clampSel(Selection{q0, q1}, w.Buffer(sub).Len()))
 }
 
 // SelectedText returns the text of the subwindow's selection.
 func (w *Window) SelectedText(sub int) string {
-	s := w.Sel[sub]
+	s := w.Sel.q[sub]
 	return w.Buffer(sub).Slice(s.Q0, s.Q1-s.Q0)
 }
 
@@ -178,7 +254,7 @@ func (w *Window) ShowAddr(addr string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", w.FileName(), err)
 	}
-	w.Sel[SubBody] = Selection{q0, q1}
+	w.setSel(SubBody, Selection{q0, q1})
 	w.scrollTo(q0)
 	return nil
 }
@@ -201,7 +277,7 @@ func (w *Window) scrollTo(q int) {
 	if top < 1 {
 		top = 1
 	}
-	w.bodyOrg = w.Body.LineStart(top)
+	w.setOrg(w.Body.LineStart(top))
 }
 
 // visibleBodyRows estimates how many body rows the window currently shows.
@@ -222,5 +298,5 @@ func (w *Window) Scroll(delta int) {
 	if ln > max {
 		ln = max
 	}
-	w.bodyOrg = w.Body.LineStart(ln)
+	w.setOrg(w.Body.LineStart(ln))
 }

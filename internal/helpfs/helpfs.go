@@ -350,7 +350,7 @@ func (h *bufHandle) Close() error {
 	buf.Commit()
 	// A replacement may have shrunk the buffer under an existing
 	// selection; re-clamping keeps every later edit in range.
-	sel := h.w.Sel[h.d.sub]
+	sel := h.w.Sel.Of(h.d.sub)
 	h.w.SetSelection(h.d.sub, sel.Q0, sel.Q1)
 	// Tags are never rewritten implicitly here: programs own their
 	// windows' tags and use the "name"/"tag"/"clean"/"dirty" control
@@ -525,10 +525,10 @@ func (s *Service) ctlMessage(w *core.Window, line string) error {
 		w.Tag.SetString(arg)
 		w.Tag.SetClean()
 	case "clean":
-		w.Body.SetClean()
+		w.SetModified(false)
 		w.RefreshTag()
 	case "dirty":
-		w.Body.SetDirty()
+		w.SetModified(true)
 		w.RefreshTag()
 	case "show":
 		return w.ShowAddr(arg)

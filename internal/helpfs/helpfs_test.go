@@ -290,7 +290,7 @@ func TestBodyWriteClampsSelection(t *testing.T) {
 	if err := fs.WriteFile("/mnt/help/1/body", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	sel := w.Sel[core.SubBody]
+	sel := w.Sel.Of(core.SubBody)
 	if sel.Q1 > w.Body.Len() {
 		t.Errorf("stale selection %+v after body shrank to %d", sel, w.Body.Len())
 	}

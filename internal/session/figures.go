@@ -122,14 +122,14 @@ func figure2(w, h int) (Step, error) {
 	}
 	p1 := p0
 	p1.X += len("Cut")
-	s.H.HandleAll([]event.Event{
+	s.handle([]event.Event{
 		event.MouseEvent(event.Mouse{Pt: p0, Buttons: event.Middle}),
 		event.MouseEvent(event.Mouse{Pt: p1, Buttons: event.Middle}),
 	})
 	s.Snapshot("fig2", "executing Cut by sweeping the word with the middle button (swept text underlined)")
 	mid := s.Last()
 	// Release: the sweep executes and the selection is cut.
-	s.H.HandleAll([]event.Event{event.MouseEvent(event.Mouse{Pt: p1, Buttons: 0})})
+	s.handle([]event.Event{event.MouseEvent(event.Mouse{Pt: p1, Buttons: 0})})
 	return mid, nil
 }
 
@@ -150,8 +150,8 @@ func figure3(w, h int) (Step, error) {
 	if !ok {
 		return Step{}, fmt.Errorf("session: scratch window has no body")
 	}
-	s.H.HandleAll(event.Click(event.Left, p))
-	s.H.HandleAll(event.Type(world.SrcDir + "/help.c"))
+	s.handle(event.Click(event.Left, p))
+	s.handle(event.Type(world.SrcDir + "/help.c"))
 
 	// The selection is the null string at the end of the name: just click
 	// Open.

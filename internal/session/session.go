@@ -38,6 +38,19 @@ type Session struct {
 	W     *world.World
 	H     *core.Help
 	Steps []Step
+
+	// AfterGesture, when set, runs after every gesture the session
+	// hands to help, so a test can check state at each step of a
+	// replay rather than only at its snapshots.
+	AfterGesture func()
+}
+
+// handle delivers one gesture's events, then runs AfterGesture.
+func (s *Session) handle(evs []event.Event) {
+	s.H.HandleAll(evs)
+	if s.AfterGesture != nil {
+		s.AfterGesture()
+	}
 }
 
 // New builds a booted world on a w x h screen and records the boot step
@@ -99,7 +112,7 @@ func (s *Session) findBody(win *core.Window, substr string) (geom.Point, error) 
 	if !ok {
 		return geom.Point{}, fmt.Errorf("session: window %d has no tab", win.ID)
 	}
-	s.H.HandleAll(event.Click(event.Left, tab))
+	s.handle(event.Click(event.Left, tab))
 	s.H.Render()
 	if p, ok := s.H.FindBody(win, substr); ok {
 		return p, nil
@@ -111,10 +124,10 @@ func (s *Session) findBody(win *core.Window, substr string) (geom.Point, error) 
 	if tagPt, ok := s.H.FindTag(win, ""); ok {
 		colR := s.H.ColumnRect(s.H.ColumnIndexOf(win))
 		target := geom.Pt(tagPt.X, colR.Min.Y+colR.Dy()/3)
-		s.H.HandleAll(event.Drag(event.Right, tagPt, target))
+		s.handle(event.Drag(event.Right, tagPt, target))
 		s.H.Render()
 		if tab2, ok := s.H.TabPoint(win); ok {
-			s.H.HandleAll(event.Click(event.Left, tab2))
+			s.handle(event.Click(event.Left, tab2))
 			s.H.Render()
 		}
 		if p, ok := s.H.FindBody(win, substr); ok {
@@ -135,7 +148,7 @@ func (s *Session) findTag(win *core.Window, substr string) (geom.Point, error) {
 	if !ok {
 		return geom.Point{}, fmt.Errorf("session: window %d has no tab", win.ID)
 	}
-	s.H.HandleAll(event.Click(event.Left, tab))
+	s.handle(event.Click(event.Left, tab))
 	s.H.Render()
 	if p, ok := s.H.FindTag(win, substr); ok {
 		return p, nil
@@ -153,7 +166,7 @@ func (s *Session) PointAt(win *core.Window, substr string) error {
 	}
 	// Land one cell into the token so word expansion has an anchor.
 	p.X++
-	s.H.HandleAll(event.Click(event.Left, p))
+	s.handle(event.Click(event.Left, p))
 	return nil
 }
 
@@ -164,7 +177,7 @@ func (s *Session) ExecWord(win *core.Window, substr string) error {
 		return err
 	}
 	p.X++
-	s.H.HandleAll(event.Click(event.Middle, p))
+	s.handle(event.Click(event.Middle, p))
 	s.H.WaitIdle()
 	return nil
 }
@@ -176,7 +189,7 @@ func (s *Session) ExecTagWord(win *core.Window, substr string) error {
 		return err
 	}
 	p.X++
-	s.H.HandleAll(event.Click(event.Middle, p))
+	s.handle(event.Click(event.Middle, p))
 	s.H.WaitIdle()
 	return nil
 }
@@ -195,7 +208,7 @@ func (s *Session) ExecSweep(win *core.Window, from, to string) error {
 		return fmt.Errorf("session: sweep target %q not visible", to)
 	}
 	p1.X += len([]rune(to))
-	s.H.HandleAll(event.Sweep(event.Middle, p0, p1))
+	s.handle(event.Sweep(event.Middle, p0, p1))
 	s.H.WaitIdle()
 	return nil
 }
@@ -212,7 +225,7 @@ func (s *Session) SelectSweep(win *core.Window, from, to string) error {
 	if !ok {
 		return fmt.Errorf("session: sweep target %q not visible", to)
 	}
-	s.H.HandleAll(event.Sweep(event.Left, p0, p1))
+	s.handle(event.Sweep(event.Left, p0, p1))
 	return nil
 }
 
@@ -227,7 +240,7 @@ func (s *Session) CutLine(win *core.Window, substr string) error {
 	f := bodyRectLeft(s, win)
 	start := geom.Pt(f, p.Y)
 	end := geom.Pt(f, p.Y+1)
-	s.H.HandleAll(event.SweepChord(event.Left, start, end, event.Middle))
+	s.handle(event.SweepChord(event.Left, start, end, event.Middle))
 	return nil
 }
 

@@ -54,10 +54,10 @@ type Buffer struct {
 
 	// onSplice, when set, observes every primitive mutation — including
 	// undo/redo replay and SetString — after it has been applied. The
-	// session journal hangs off this hook: primInsert/primDelete are the
-	// single choke point all edits funnel through, so one callback
-	// captures every way a buffer can change.
-	onSplice func(off, ndel int, ins string)
+	// session's change capture hangs off this hook: primInsert/primDelete
+	// are the single choke point all edits funnel through, so one
+	// callback captures every way a buffer can change.
+	onSplice func(off, ndel int, ins []rune)
 
 	// onMem, when set, observes the buffer's resident size moving. It is
 	// installed into the backing, which fires it with signed rune deltas:
@@ -160,7 +160,7 @@ func (b *Buffer) primInsert(off int, rs []rune) {
 	b.bk().insert(off, rs)
 	b.gen++
 	if b.onSplice != nil {
-		b.onSplice(off, 0, string(rs))
+		b.onSplice(off, 0, rs)
 	}
 }
 
@@ -175,7 +175,7 @@ func (b *Buffer) primDelete(off, n int, want bool) []rune {
 	removed := b.bk().remove(off, n, want)
 	b.gen++
 	if b.onSplice != nil {
-		b.onSplice(off, n, "")
+		b.onSplice(off, n, nil)
 	}
 	return removed
 }
@@ -335,9 +335,11 @@ func (b *Buffer) SetString(s string) {
 // SetOnSplice installs (or, with nil, removes) the splice observer: a
 // callback invoked after every primitive mutation with the rune offset,
 // the number of runes deleted there, and the runes inserted. Exactly one
-// of ndel/ins is non-zero per call. The callback must not mutate the
-// buffer.
-func (b *Buffer) SetOnSplice(fn func(off, ndel int, ins string)) {
+// of ndel/len(ins) is non-zero per call. ins is only valid during the
+// call — an observer that keeps the text copies it — so an observer
+// that only needs to know that something changed costs no allocation.
+// The callback must not mutate the buffer.
+func (b *Buffer) SetOnSplice(fn func(off, ndel int, ins []rune)) {
 	b.onSplice = fn
 }
 
@@ -376,16 +378,16 @@ func (b *Buffer) Load(s string) {
 // residency accounting transfers from the old backing to the new, and the
 // undo/redo histories are discarded with the buffer left clean.
 //
-// The insert half materializes the new contents as a string only when a
-// splice observer is installed (the journal needs the text); without one,
-// adopting a paged backing stays lazy.
+// The insert half materializes the new contents only when a splice
+// observer is installed (a journal needs the text); without one, adopting
+// a paged backing stays lazy.
 func (b *Buffer) swapBacking(nb backing) {
 	old := b.bk()
 	oldLen := old.length()
 	if oldLen > 0 {
 		b.gen++
 		if b.onSplice != nil {
-			b.onSplice(0, oldLen, "")
+			b.onSplice(0, oldLen, nil)
 		}
 	}
 	old.setOnMem(nil)
@@ -405,7 +407,8 @@ func (b *Buffer) swapBacking(nb backing) {
 	if nb.length() > 0 {
 		b.gen++
 		if b.onSplice != nil {
-			b.onSplice(0, 0, b.String())
+			n := nb.length()
+			b.onSplice(0, 0, nb.appendRange(make([]rune, 0, n), 0, n))
 		}
 	}
 	b.undo = nil

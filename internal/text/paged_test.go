@@ -379,8 +379,8 @@ func TestPagedSourceError(t *testing.T) {
 func TestSwapBackingSplice(t *testing.T) {
 	b := NewBuffer("old text")
 	var log []string
-	b.SetOnSplice(func(off, ndel int, ins string) {
-		log = append(log, strings.Join([]string{string(rune('0' + off%10)), string(rune('0' + ndel%10)), ins}, "|"))
+	b.SetOnSplice(func(off, ndel int, ins []rune) {
+		log = append(log, strings.Join([]string{string(rune('0' + off%10)), string(rune('0' + ndel%10)), string(ins)}, "|"))
 	})
 	if err := b.LoadPaged(byteSource("new\ncontents"), 1<<20); err != nil {
 		t.Fatal(err)

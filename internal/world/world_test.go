@@ -187,7 +187,7 @@ func TestOpenFromStackTrace(t *testing.T) {
 	if opened == nil {
 		t.Fatalf("text.c not opened; errors: %q", w.Help.Errors().Body.String())
 	}
-	ln := opened.Body.LineAt(opened.Sel[core.SubBody].Q0)
+	ln := opened.Body.LineAt(opened.Sel.Of(core.SubBody).Q0)
 	if ln != 32 {
 		t.Errorf("opened at line %d, want 32", ln)
 	}
@@ -400,7 +400,7 @@ func TestHelpSelProgram(t *testing.T) {
 	var out bytes.Buffer
 	ctx := w.Shell.NewContext(&out, &out)
 	ctx.Set("helpsel", []string{fmt.Sprintf("%d:%d,%d", win.ID,
-		win.Sel[core.SubBody].Q0, win.Sel[core.SubBody].Q1)})
+		win.Sel.Of(core.SubBody).Q0, win.Sel.Of(core.SubBody).Q1)})
 	if status := w.Shell.RunCommand(ctx, []string{"help/sel"}); status != 0 {
 		t.Fatalf("help/sel failed: %s", out.String())
 	}
@@ -574,7 +574,7 @@ func TestGoDeclClosesTheLoop(t *testing.T) {
 	if datWin == nil {
 		t.Fatalf("declaration window not opened; errors: %q", w.Help.Errors().Body.String())
 	}
-	if ln := datWin.Body.LineAt(datWin.Sel[core.SubBody].Q0); ln != 136 {
+	if ln := datWin.Body.LineAt(datWin.Sel.Of(core.SubBody).Q0); ln != 136 {
 		t.Errorf("declaration selected at line %d, want 136", ln)
 	}
 	if got := datWin.SelectedText(core.SubBody); got != "uchar *n;" {
