@@ -223,9 +223,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.inner.Write(p)
 }
 
-// corrupt flips the first byte, which for a JSON frame breaks the
-// opening delimiter so the receiver reliably sees a malformed frame
-// (rather than silently corrupted payload data).
+// corrupt flips every bit of the first byte. For a srvnet frame that
+// is the high byte of the big-endian length, which then exceeds the
+// frame bound, so the receiver reliably sees a malformed frame (rather
+// than silently corrupted payload data or a stall for missing bytes).
 func corrupt(p []byte) {
 	if len(p) > 0 {
 		p[0] ^= 0xff

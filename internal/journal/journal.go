@@ -27,9 +27,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
+
+	"repro/internal/record"
 )
 
 // OpKind enumerates the record types the session journal uses. The
@@ -111,8 +112,6 @@ var ErrCorrupt = errors.New("journal: corrupt")
 // ErrNoState reports an empty journal directory: nothing to recover.
 var ErrNoState = errors.New("journal: no checkpoint or segments")
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // appendOpPayload encodes op (including its generation) onto dst.
 func appendOpPayload(dst []byte, op *Op) []byte {
 	dst = append(dst, byte(op.Kind))
@@ -134,95 +133,37 @@ func appendOpPayload(dst []byte, op *Op) []byte {
 	return dst
 }
 
-// decoder is a bounds-checked cursor over a record payload.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: bad %s", ErrCorrupt, what)
-	}
-}
-
-func (d *decoder) byte(what string) byte {
-	if d.err != nil {
+// varint32 reads a varint field that must fit an int32, the range the
+// journal's ints take.
+func varint32(d *record.Decoder, what string) int {
+	v := d.Varint(what)
+	if v < int64(-1<<31) || v > int64(1<<31) {
+		d.Fail(what)
 		return 0
 	}
-	if d.off >= len(d.b) {
-		d.fail(what)
-		return 0
-	}
-	c := d.b[d.off]
-	d.off++
-	return c
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint(what string) int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 || v < int64(-1<<31) || v > int64(1<<31) {
-		d.fail(what)
-		return 0
-	}
-	d.off += n
 	return int(v)
-}
-
-func (d *decoder) str(what string) string {
-	if d.err != nil {
-		return ""
-	}
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(what)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
 }
 
 // decodeOpPayload decodes a record payload produced by appendOpPayload.
 // It never panics; malformed input yields an error wrapping ErrCorrupt.
 func decodeOpPayload(b []byte) (Op, error) {
-	d := decoder{b: b}
+	d := record.NewDecoder(b)
 	var op Op
-	op.Kind = OpKind(d.byte("kind"))
-	op.Gen = d.uvarint("gen")
-	op.Win = d.varint("win")
-	op.Sub = d.varint("sub")
-	op.P0 = d.varint("p0")
-	op.P1 = d.varint("p1")
-	op.P2 = d.varint("p2")
-	op.Flag = d.byte("flag") != 0
-	op.Str1 = d.str("str1")
-	op.Str2 = d.str("str2")
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("trailing bytes")
+	op.Kind = OpKind(d.Byte("kind"))
+	op.Gen = d.Uvarint("gen")
+	op.Win = varint32(&d, "win")
+	op.Sub = varint32(&d, "sub")
+	op.P0 = varint32(&d, "p0")
+	op.P1 = varint32(&d, "p1")
+	op.P2 = varint32(&d, "p2")
+	op.Flag = d.Byte("flag") != 0
+	op.Str1 = d.String("str1")
+	op.Str2 = d.String("str2")
+	if d.Remaining() != 0 {
+		d.Fail("trailing bytes")
 	}
-	if d.err != nil {
-		return Op{}, d.err
+	if err := d.Err(); err != nil {
+		return Op{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if op.Kind < OpSplice || op.Kind > OpErrors {
 		return Op{}, fmt.Errorf("%w: unknown op kind %d", ErrCorrupt, op.Kind)
@@ -234,7 +175,7 @@ func decodeOpPayload(b []byte) (Op, error) {
 func appendRecord(dst, payload []byte) []byte {
 	var hdr [recHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[4:8], record.Sum(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
@@ -285,7 +226,7 @@ func encodeCheckpoint(gen uint64, payload []byte) []byte {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], gen)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[12:16], record.Sum(payload))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
 }
@@ -305,7 +246,7 @@ func decodeCheckpoint(b []byte) (gen uint64, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: checkpoint length", ErrCorrupt)
 	}
 	payload = b[ckptHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != sum {
+	if record.Sum(payload) != sum {
 		return 0, nil, fmt.Errorf("%w: checkpoint checksum", ErrCorrupt)
 	}
 	return gen, payload, nil
@@ -329,7 +270,7 @@ func RecordEnds(seg []byte) []int {
 			break
 		}
 		payload := seg[off+recHeaderLen : off+recHeaderLen+n]
-		if crc32.Checksum(payload, crcTable) != sum {
+		if record.Sum(payload) != sum {
 			break
 		}
 		off += recHeaderLen + n

@@ -3,10 +3,10 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/record"
 )
 
 // State is what Load recovers: the newest checkpoint plus the ordered
@@ -150,7 +150,7 @@ func decodeSegment(name string, seg []byte, isLast bool) (ops []Op, torn bool, r
 			return tear("torn record body")
 		}
 		payload := seg[off+recHeaderLen : off+recHeaderLen+n]
-		if crc32.Checksum(payload, crcTable) != sum {
+		if record.Sum(payload) != sum {
 			// A checksum mismatch on the final record could be a torn
 			// in-place write; mid-file it is corruption.
 			if off+recHeaderLen+n == len(seg) {

@@ -27,7 +27,7 @@ type Batch struct {
 // typed accessors should be called, once, matching the operation.
 type Future struct {
 	b    *Batch
-	op   string
+	op   op
 	path string
 	call *pendingCall // nil when resolved locally (cache hit) or failed at queue time
 	resp response
@@ -60,28 +60,28 @@ func (b *Batch) ReadFile(path string) *Future {
 	if b.c.cacheEnabled() {
 		if data, ok := b.c.cacheGet(path); ok {
 			b.c.Obs.Counter("srvnet.cache.hit").Inc()
-			return &Future{op: "read", path: path, resp: response{Data: data}, done: true}
+			return &Future{op: opRead, path: path, resp: response{Data: data}, done: true}
 		}
 		b.c.Obs.Counter("srvnet.cache.miss").Inc()
 	}
-	return b.queue(request{Op: "read", Path: path})
+	return b.queue(request{Op: opRead, Path: path})
 }
 
 // Stat queues a stat.
 func (b *Batch) Stat(path string) *Future {
-	return b.queue(request{Op: "stat", Path: path})
+	return b.queue(request{Op: opStat, Path: path})
 }
 
 // WriteFile queues a write, invalidating the path's cached entry.
 func (b *Batch) WriteFile(path string, data []byte) *Future {
 	b.c.cacheInvalidate(path)
-	return b.queue(request{Op: "write", Path: path, Data: data})
+	return b.queue(request{Op: opWrite, Path: path, Data: data})
 }
 
 // AppendFile queues an append, invalidating the path's cached entry.
 func (b *Batch) AppendFile(path string, data []byte) *Future {
 	b.c.cacheInvalidate(path)
-	return b.queue(request{Op: "write", Path: path, Data: data, Append: true})
+	return b.queue(request{Op: opWrite, Path: path, Data: data, Append: true})
 }
 
 // Flush pushes every queued request onto the wire in one write.
@@ -116,8 +116,8 @@ func (f *Future) resolve() {
 			// been (or is being) failed — collect that result.
 		}
 	}
-	f.resp, f.err = f.b.c.wait(f.op, f.call)
-	if f.err == nil && f.op == "read" {
+	f.resp, f.err = f.b.c.wait(f.op.String(), f.call)
+	if f.err == nil && f.op == opRead {
 		f.b.c.cachePut(f.path, f.resp.Gen, f.resp.Data)
 	}
 }
@@ -141,12 +141,8 @@ func (f *Future) Info() (vfs.Info, error) {
 	if f.err != nil {
 		return vfs.Info{}, f.err
 	}
-	i := f.resp.Info
-	if i == nil {
-		return vfs.Info{}, f.err
-	}
 	if f.b != nil && f.b.c.cacheEnabled() {
 		f.b.c.cacheNote(f.path, f.resp.Gen)
 	}
-	return vfs.Info{Name: i.Name, IsDir: i.IsDir, Size: i.Size, ModTime: i.ModTime, Gen: i.Gen}, nil
+	return statInfo(f.resp)
 }

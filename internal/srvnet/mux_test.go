@@ -1,8 +1,8 @@
 package srvnet
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -209,7 +209,7 @@ func TestConnectDuringDrainRefusedAsDraining(t *testing.T) {
 	defer client.Close()
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var resp response
-	if err := json.NewDecoder(client).Decode(&resp); err != nil {
+	if err := readResp(bufio.NewReader(client), &resp); err != nil {
 		t.Fatalf("reading refusal: %v", err)
 	}
 	if err := errFromWire(resp.Err, resp.Code, resp.Retry); !errors.Is(err, ErrDraining) {

@@ -263,18 +263,18 @@ func TestPipelinedReadBehindParkedReadWaitFlushes(t *testing.T) {
 	defer conn.Close()
 	// One TCP write carries both frames, so the read's reply is written
 	// while the readwait is already queued behind it.
-	frames := `{"seq":1,"op":"read","path":"/log"}` + "\n" +
-		`{"seq":2,"op":"readwait","path":"/log","off":0,"wait":60000}` + "\n"
-	if _, err := conn.Write([]byte(frames)); err != nil {
+	frames := append(reqFrame(request{Seq: 1, Op: opRead, Path: "/log"}),
+		reqFrame(request{Seq: 2, Op: opReadWait, Path: "/log", Offset: 0, Wait: 60000})...)
+	if _, err := conn.Write(frames); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
+	var resp response
+	if err := readResp(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatalf("read reply never flushed behind the parked readwait: %v", err)
 	}
-	if !strings.Contains(line, `"seq":1`) {
-		t.Fatalf("first reply = %q, want seq 1", line)
+	if resp.Seq != 1 {
+		t.Fatalf("first reply = %+v, want seq 1", resp)
 	}
 }
 

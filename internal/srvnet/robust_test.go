@@ -1,8 +1,8 @@
 package srvnet
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -32,7 +32,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestMalformedFrameGetsProtocolError is the regression test for the
-// server silently dropping malformed JSON: the client must receive an
+// server silently dropping malformed frames: the client must receive an
 // explicit protocol-error reply before the connection closes.
 func TestMalformedFrameGetsProtocolError(t *testing.T) {
 	fs := vfs.New()
@@ -48,12 +48,12 @@ func TestMalformedFrameGetsProtocolError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
+	if _, err := conn.Write([]byte("this is not a frame\n")); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+	if err := readResp(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatalf("no protocol-error reply: %v", err)
 	}
 	if resp.Code != codeProto || !strings.Contains(resp.Err, "malformed") {
@@ -341,11 +341,9 @@ func TestClientCloseDuringRPC(t *testing.T) {
 func TestSeqMismatchPoisons(t *testing.T) {
 	cside, sside := net.Pipe()
 	go func() {
-		dec := json.NewDecoder(sside)
-		enc := json.NewEncoder(sside)
 		var req request
-		if dec.Decode(&req) == nil {
-			enc.Encode(response{Seq: req.Seq + 7})
+		if readReq(bufio.NewReader(sside), &req) == nil {
+			sside.Write(respFrame(response{Seq: req.Seq + 7}))
 		}
 	}()
 	c := NewClient(cside)

@@ -4,17 +4,9 @@
 // to the CPU server, sending requests to run applications to the remote
 // shell-like process."
 //
-// The protocol is a minimal file service in the spirit of 9P. Each
-// frame is one newline-terminated JSON header line — the request's
-// operation, path, and sequence number, or the response echoing that
-// sequence number with directory entries or an error — followed, when
-// the header's "n" field is nonzero, by n raw payload bytes whose
-// CRC-32 rides in "sum". Keeping file contents out of the JSON spares
-// the hot path both the base64 expansion and the byte-at-a-time string
-// scan, while header-only control frames stay plain one-line JSON that
-// any peer can speak; headers themselves go through a reflection-free
-// codec (codec.go) that emits and scans the same JSON by hand. The call
-// is only "invisible" if the wire path keeps up with the user
+// The protocol is a minimal file service in the spirit of 9P: every
+// message is one binary frame, len[4] crc[4] body, laid out in wire.go.
+// The call is only "invisible" if the wire path keeps up with the user
 // interface, so the transport is built for throughput as well as fault
 // tolerance:
 //
@@ -60,10 +52,8 @@ package srvnet
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
@@ -147,194 +137,9 @@ const (
 	wireBufSize = 64 * 1024
 )
 
-// request is one wire operation. Data rides outside the JSON header as
-// a raw sidecar (see the framing helpers): N carries its length and Sum
-// its checksum.
-type request struct {
-	Seq     uint64 `json:"seq"`
-	Op      string `json:"op"`
-	Path    string `json:"path,omitempty"`
-	Data    []byte `json:"-"`
-	Append  bool   `json:"append,omitempty"`
-	Pattern string `json:"pattern,omitempty"`
-	// Offset and Count address a "readat" chunk. "readwait" reuses
-	// Offset as the resume sequence number (the last event seq the
-	// subscriber has seen).
-	Offset int64 `json:"off,omitempty"`
-	Count  int64 `json:"count,omitempty"`
-	// Wait is a "readwait" long-poll bound in milliseconds; <= 0 asks
-	// for the server's maximum.
-	Wait int64 `json:"wait,omitempty"`
-	// N and Sum frame the payload sidecar.
-	N   int64  `json:"n,omitempty"`
-	Sum uint32 `json:"sum,omitempty"`
-}
-
-// entry mirrors vfs.Info on the wire.
-type entry struct {
-	Name    string `json:"name"`
-	IsDir   bool   `json:"isDir"`
-	Size    int64  `json:"size"`
-	ModTime int64  `json:"modTime"`
-	Gen     uint64 `json:"gen,omitempty"`
-}
-
-// response is one wire reply. Seq echoes the request's sequence number;
-// a response the server cannot attribute to a request (a malformed
-// frame, a busy rejection) carries Seq 0 and a Code of "proto" or
-// "busy". Gen, when nonzero, is the edit generation of the request's
-// target file observed while serving it — the client cache keys on it.
-type response struct {
-	Seq     uint64   `json:"seq"`
-	Err     string   `json:"err,omitempty"`
-	Code    string   `json:"code,omitempty"`
-	Data    []byte   `json:"-"`
-	Entries []entry  `json:"entries,omitempty"`
-	Names   []string `json:"names,omitempty"`
-	Info    *entry   `json:"info,omitempty"`
-	Gen     uint64   `json:"gen,omitempty"`
-	// Retry, on a busy refusal, is the server's retry-after hint in
-	// milliseconds: how long the refused client should wait (jittered)
-	// before trying again.
-	Retry int64 `json:"retry,omitempty"`
-	// N and Sum frame the payload sidecar.
-	N   int64  `json:"n,omitempty"`
-	Sum uint32 `json:"sum,omitempty"`
-}
-
-// Framing: each message is one JSON header line followed, when N > 0,
-// by N raw payload bytes. Keeping file contents out of the JSON saves
-// both the base64 expansion and the byte-at-a-time string scan on the
-// hot path — a read's payload costs a copy, not a parse — while the
-// header stays line-delimited JSON, so control frames (refusals, error
-// replies) remain plain one-line JSON messages. Sum is a CRC over the
-// payload: raw bytes have no syntax to break, so without it a fault
-// that flips a payload byte would deliver silently corrupted data.
-
-// maxPayload bounds a sidecar read, so a corrupted header cannot ask
-// the receiver to allocate gigabytes.
-const maxPayload = 1 << 28
-
-var errSum = errors.New("srvnet: payload checksum mismatch")
-
-// frameReq emits req's header line and payload sidecar into bw. hdr is
-// a reused scratch buffer for the header bytes; the (possibly regrown)
-// buffer is returned for the caller to keep.
-func frameReq(bw *bufio.Writer, hdr []byte, req *request) ([]byte, error) {
-	req.N = int64(len(req.Data))
-	req.Sum = 0
-	if req.N > 0 {
-		req.Sum = crc32.ChecksumIEEE(req.Data)
-	}
-	hdr = encodeReq(hdr[:0], req)
-	if _, err := bw.Write(hdr); err != nil {
-		return hdr, err
-	}
-	if req.N > 0 {
-		if _, err := bw.Write(req.Data); err != nil {
-			return hdr, err
-		}
-	}
-	return hdr, nil
-}
-
-func frameResp(bw *bufio.Writer, hdr []byte, resp *response) ([]byte, error) {
-	resp.N = int64(len(resp.Data))
-	resp.Sum = 0
-	if resp.N > 0 {
-		resp.Sum = crc32.ChecksumIEEE(resp.Data)
-	}
-	hdr, err := encodeResp(hdr[:0], resp)
-	if err != nil {
-		return hdr, err
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return hdr, err
-	}
-	if resp.N > 0 {
-		if _, err := bw.Write(resp.Data); err != nil {
-			return hdr, err
-		}
-	}
-	return hdr, nil
-}
-
-// readPayload collects an N-byte sidecar and verifies its checksum.
-func readPayload(br *bufio.Reader, n int64, sum uint32) ([]byte, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if n > maxPayload {
-		return nil, fmt.Errorf("srvnet: payload length %d exceeds limit", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(data) != sum {
-		return nil, errSum
-	}
-	return data, nil
-}
-
-// readReq decodes one request frame: header line through the fast
-// codec (codec.go), payload straight off the bufio.Reader. req is
-// reset so a field absent from this header cannot inherit the previous
-// frame's value.
-func readReq(br *bufio.Reader, req *request) error {
-	line, err := readLine(br)
-	if err != nil {
-		return err
-	}
-	if err := decodeReq(line, req); err != nil {
-		return err
-	}
-	req.Data, err = readPayload(br, req.N, req.Sum)
-	return err
-}
-
-func readResp(br *bufio.Reader, resp *response) error {
-	line, err := readLine(br)
-	if err != nil {
-		return err
-	}
-	if err := decodeResp(line, resp); err != nil {
-		return err
-	}
-	resp.Data, err = readPayload(br, resp.N, resp.Sum)
-	return err
-}
-
-// Wire error codes, mapping vfs sentinels (and protocol conditions)
-// across the connection so clients can classify failures with errors.Is.
-const (
-	codeNotExist = "not-exist"
-	codeExist    = "exist"
-	codeIsDir    = "is-dir"
-	codeNotDir   = "not-dir"
-	codePerm     = "perm"
-	codeBadMode  = "bad-mode"
-	codeProto    = "proto"
-	codeBusy     = "busy"
-	codeDraining = "draining"
-	codeNoSess   = "no-session"
-)
-
-var codeToErr = map[string]error{
-	codeNotExist: vfs.ErrNotExist,
-	codeExist:    vfs.ErrExist,
-	codeIsDir:    vfs.ErrIsDir,
-	codeNotDir:   vfs.ErrNotDir,
-	codePerm:     vfs.ErrPerm,
-	codeBadMode:  vfs.ErrBadMode,
-	codeProto:    ErrProto,
-	codeBusy:     ErrBusy,
-	codeDraining: ErrDraining,
-	codeNoSess:   ErrNoSession,
-}
-
-// codeOf maps a server-side error to its wire code; "" if none applies.
-func codeOf(err error) string {
+// codeOf maps a server-side error to its wire code; codeNone if none
+// applies.
+func codeOf(err error) code {
 	switch {
 	case errors.Is(err, vfs.ErrNotExist):
 		return codeNotExist
@@ -357,7 +162,7 @@ func codeOf(err error) string {
 	case errors.Is(err, ErrNoSession):
 		return codeNoSess
 	}
-	return ""
+	return codeNone
 }
 
 // wireError reconstructs a remote error on the client: the message is
@@ -379,9 +184,9 @@ func (e *wireError) RetryAfter() time.Duration { return e.retry }
 // errFromWire turns an error reply into a client-side error that keeps
 // the remote message, the sentinel named by the wire code, and — on a
 // busy refusal — the retry-after hint (retryMS, milliseconds).
-func errFromWire(msg, code string, retryMS int64) error {
-	if base, ok := codeToErr[code]; ok {
-		return &wireError{msg: msg, base: base, retry: time.Duration(retryMS) * time.Millisecond}
+func errFromWire(msg string, c code, retryMS int64) error {
+	if int(c) < len(codeErrs) && codeErrs[c] != nil {
+		return &wireError{msg: msg, base: codeErrs[c], retry: time.Duration(retryMS) * time.Millisecond}
 	}
 	return errors.New(msg)
 }
@@ -644,7 +449,8 @@ type readItem struct {
 // ServeConn handles one connection until EOF, idle timeout, protocol
 // error, or server shutdown. A connection the server cannot take on
 // receives one typed refusal — busy when the registry is full, draining
-// when Shutdown has begun — and is closed.
+// when Shutdown has begun — written as one frame by the same frame
+// writer as every reply, and the connection is closed.
 //
 // The connection is served by two goroutines: this one executes
 // requests and writes replies, while a reader goroutine keeps decoding
@@ -660,9 +466,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 		} else {
 			s.Obs.Counter("srvnet.backpressure.refused.conn").Inc()
 		}
-		enc := json.NewEncoder(conn)
+		bw := bufio.NewWriter(conn)
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		enc.Encode(refusal)
+		if _, err := frameResp(bw, nil, &refusal); err == nil {
+			bw.Flush()
+		}
 		conn.Close()
 		return
 	}
@@ -696,11 +504,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// socket; buffered frames are the peer being anything but idle.
 			if br.Buffered() == 0 {
 				conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
+				// Shutdown nudges idle readers with an immediate deadline;
+				// one that landed just before this re-arm was overwritten.
+				if s.isDraining() {
+					conn.SetReadDeadline(time.Now())
+				}
 			}
 			if err := readReq(br, &req); err != nil {
-				var ne net.Error
-				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-					errors.Is(err, net.ErrClosed) || (errors.As(err, &ne) && ne.Timeout()) {
+				if connGone(err) {
 					connDead.Store(true)
 				}
 				select {
@@ -745,34 +556,26 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return flushLocked()
 	}
 	// reply buffers one response, deferring the socket write while more
-	// requests are already queued: their replies will share the flush.
-	// out is the executor's scratch frame and hdr its header buffer,
-	// both reused across requests. The write buffer is bounded: framing
-	// a response can spill it to the socket once it fills, so the write
-	// deadline is armed before every frame, not just at flush — a
-	// stalled peer fails the spill within the write timeout instead of
-	// hanging the executor mid-frame forever.
+	// requests are already queued — their replies will share the flush —
+	// unless final says the connection is about to close. out is the
+	// executor's scratch reply and buf its frame buffer, both reused
+	// across requests. The write buffer is bounded: framing a response
+	// can spill it to the socket once it fills, so the write deadline is
+	// armed before every frame, not just at flush — a stalled peer fails
+	// the spill within the write timeout instead of hanging the executor
+	// mid-frame forever.
 	var out response
-	var hdr []byte
-	emit := func() error {
+	var buf []byte
+	reply := func(final bool) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 		var err error
-		hdr, err = frameResp(bw, hdr, &out)
-		noteWriteErr(err)
-		return err
-	}
-	reply := func() error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		var err error
-		if hdr, err = frameResp(bw, hdr, &out); err != nil {
+		if buf, err = frameResp(bw, buf, &out); err != nil {
 			noteWriteErr(err)
 			return err
 		}
-		if len(reqCh) > 0 {
+		if !final && len(reqCh) > 0 {
 			s.Obs.Counter("srvnet.reply.batched").Inc()
 			return nil
 		}
@@ -803,25 +606,22 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// unless the server is draining, in which case the timeout is
 			// Shutdown's nudge and the client deserves to hear why its
 			// connection is going away instead of a silent hangup.
-			var ne net.Error
-			if errors.Is(item.err, io.EOF) || errors.Is(item.err, io.ErrUnexpectedEOF) ||
-				errors.Is(item.err, net.ErrClosed) || (errors.As(item.err, &ne) && ne.Timeout()) {
+			if connGone(item.err) {
 				if s.isDraining() {
 					out = response{Err: ErrDraining.Error(), Code: codeDraining}
-					emit()
-					flush()
+					reply(true)
 				}
 				return
 			}
 			// A malformed frame deserves an explicit reply before the
-			// connection closes: the JSON stream cannot be resynced, but
-			// the client learns why instead of seeing a silent hangup.
+			// connection closes: once a length or checksum is wrong the
+			// frame boundaries are lost and the stream cannot be resynced,
+			// but the client learns why instead of seeing a silent hangup.
 			out = response{
 				Err:  fmt.Sprintf("srvnet: malformed request: %v", item.err),
 				Code: codeProto,
 			}
-			emit()
-			flush()
+			reply(true)
 			return
 		}
 		req := item.req
@@ -836,11 +636,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// A request decoded after Shutdown began gets the typed
 			// refusal so the client degrades instead of redialing.
 			out = response{Seq: req.Seq, Err: ErrDraining.Error(), Code: codeDraining}
-			emit()
-			flush()
+			reply(true)
 			return
 		}
-		if req.Op == "attach" {
+		if req.Op == opAttach {
 			out = response{Seq: req.Seq}
 			if s.hub == nil {
 				out.Err = "srvnet: server does not multiplex sessions"
@@ -856,18 +655,18 @@ func (s *Server) ServeConn(conn net.Conn) {
 				// The readahead slot belongs to the old namespace.
 				*ra = readahead{}
 			}
-			if err := reply(); err != nil {
+			if err := reply(false); err != nil {
 				return
 			}
 			continue
 		}
-		if req.Op == "readwait" {
+		if req.Op == opReadWait {
 			// A long poll must not hold the executor: requests pipelined
 			// behind it keep flowing while the waiter parks on the event
 			// device. The reply is written under wmu whenever it is ready.
 			if fs == nil {
 				out = response{Seq: req.Seq, Err: ErrNoSession.Error(), Code: codeNoSess}
-				if err := reply(); err != nil {
+				if err := reply(false); err != nil {
 					return
 				}
 				continue
@@ -911,7 +710,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				resp := s.readWait(req, wfs, stop, time.Millisecond)
 				out = resp
 				out.Seq = req.Seq
-				if err := reply(); err != nil {
+				if err := reply(false); err != nil {
 					return
 				}
 			}
@@ -919,10 +718,19 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		out = s.handle(req, fs, ra)
 		out.Seq = req.Seq
-		if err := reply(); err != nil {
+		if err := reply(false); err != nil {
 			return
 		}
 	}
+}
+
+// connGone reports whether a read error means the peer is gone (EOF, a
+// reset or closed connection, an idle timeout) rather than that it sent
+// a malformed frame.
+func connGone(err error) bool {
+	var ne net.Error
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || (errors.As(err, &ne) && ne.Timeout())
 }
 
 // noteWriteErr classifies a failed response write: a timeout is the
@@ -1103,21 +911,20 @@ func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 	if fs == nil {
 		return response{Err: ErrNoSession.Error(), Code: codeNoSess}
 	}
-	fail := func(err error) response { return s.errResp(err) }
 	switch req.Op {
-	case "read":
+	case opRead:
 		data, gen, err := fs.ReadFileGen(req.Path)
 		if err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
 		return response{Data: data, Gen: gen}
-	case "readat":
+	case opReadAt:
 		data, gen, err := ra.readAt(fs, s.Obs, req.Path, req.Offset, req.Count)
 		if err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
 		return response{Data: data, Gen: gen}
-	case "write":
+	case opWrite:
 		var err error
 		if req.Append {
 			err = fs.AppendFile(req.Path, req.Data)
@@ -1125,42 +932,40 @@ func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 			err = fs.WriteFile(req.Path, req.Data)
 		}
 		if err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
 		return response{Gen: fs.Gen(req.Path)}
-	case "readdir":
+	case opReadDir:
 		ents, err := fs.ReadDir(req.Path)
 		if err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
-		out := make([]entry, len(ents))
-		for i, e := range ents {
-			out[i] = entry{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime, Gen: e.Gen}
-		}
-		return response{Entries: out}
-	case "stat":
+		return response{Entries: ents}
+	case opStat:
 		info, err := fs.Stat(req.Path)
 		if err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
-		return response{
-			Info: &entry{Name: info.Name, IsDir: info.IsDir, Size: info.Size, ModTime: info.ModTime, Gen: info.Gen},
-			Gen:  info.Gen,
+		return response{Entries: []vfs.Info{info}, Gen: info.Gen}
+	case opGlob:
+		names := fs.Glob(req.Pattern)
+		out := make([]vfs.Info, len(names))
+		for i, name := range names {
+			out[i].Name = name
 		}
-	case "glob":
-		return response{Names: fs.Glob(req.Pattern)}
-	case "mkdir":
+		return response{Entries: out}
+	case opMkdir:
 		if err := fs.MkdirAll(req.Path); err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
 		return response{}
-	case "remove":
+	case opRemove:
 		if err := fs.Remove(req.Path); err != nil {
-			return fail(err)
+			return s.errResp(err)
 		}
 		return response{}
 	}
-	return response{Err: fmt.Sprintf("srvnet: unknown op %q", req.Op), Code: codeProto}
+	return response{Err: fmt.Sprintf("srvnet: unknown op %v", req.Op), Code: codeProto}
 }
 
 // pendingCall is one in-flight request awaiting its reply. Exactly one
@@ -1223,10 +1028,10 @@ type Client struct {
 	conn net.Conn
 
 	// wmu serializes request encoding; bw buffers frames so a Batch
-	// goes out in one write, and hdr is the reused header scratch.
+	// goes out in one write, and buf is the reused frame scratch.
 	wmu sync.Mutex
 	bw  *bufio.Writer
-	hdr []byte
+	buf []byte
 
 	br *bufio.Reader // owned by the reader goroutine
 
@@ -1505,7 +1310,7 @@ func (c *Client) start(req *request, flush bool) (*pendingCall, error) {
 		}
 	}
 	var err error
-	c.hdr, err = frameReq(c.bw, c.hdr, req)
+	c.buf, err = frameReq(c.bw, c.buf, req)
 	if err == nil && flush {
 		err = c.bw.Flush()
 	}
@@ -1513,7 +1318,12 @@ func (c *Client) start(req *request, flush bool) (*pendingCall, error) {
 	if err != nil {
 		err = fmt.Errorf("srvnet: send: %w", err)
 		c.poisonAll(err, nil)
-		<-call.ch // poisonAll (ours or a concurrent one) delivered to every pending call
+		// poisonAll — ours, or the reader's on a typed refusal such as
+		// draining, which closed the connection under this write — has
+		// delivered the call's outcome; the refusal names the real cause.
+		if res := <-call.ch; res.err != nil {
+			err = res.err
+		}
 		callPool.Put(call)
 		c.Obs.Counter("srvnet.inflight").Add(-1)
 		return nil, err
@@ -1539,18 +1349,11 @@ func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (res
 	case res = <-call.ch:
 		// Pipelined common case: the reply landed before the caller got
 		// here, so no timer is armed at all.
-		resp, err := res.resp, res.err
-		callPool.Put(call)
-		if err != nil {
-			return response{}, err
-		}
-		if resp.Err != "" {
-			return resp, errFromWire(resp.Err, resp.Code, resp.Retry)
-		}
-		return resp, nil
 	default:
-	}
-	if to > 0 {
+		if to <= 0 {
+			res = <-call.ch
+			break
+		}
 		timer := getTimer(to)
 		select {
 		case res = <-call.ch:
@@ -1566,8 +1369,6 @@ func (c *Client) waitWithin(op string, call *pendingCall, to time.Duration) (res
 			callPool.Put(call)
 			return response{}, err
 		}
-	} else {
-		res = <-call.ch
 	}
 	resp, err := res.resp, res.err
 	callPool.Put(call)
@@ -1588,13 +1389,13 @@ func (c *Client) rpc(req request) (response, error) {
 		// hides the slow failures would understate what remote users pay.
 		defer func(t0 time.Time, op string) {
 			c.Obs.Histogram("srvnet." + op).Observe(time.Since(t0))
-		}(time.Now(), req.Op)
+		}(time.Now(), req.Op.String())
 	}
 	call, err := c.start(&req, true)
 	if err != nil {
 		return response{}, err
 	}
-	return c.wait(req.Op, call)
+	return c.wait(req.Op.String(), call)
 }
 
 // Attach selects the session this connection's subsequent operations
@@ -1603,7 +1404,7 @@ func (c *Client) rpc(req request) (response, error) {
 // connection to another session and empties the read cache, whose
 // generations belonged to the old one.
 func (c *Client) Attach(session string) error {
-	_, err := c.rpc(request{Op: "attach", Path: session})
+	_, err := c.rpc(request{Op: opAttach, Path: session})
 	if err == nil {
 		c.cacheFlush()
 	}
@@ -1622,7 +1423,7 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 		}
 		c.Obs.Counter("srvnet.cache.miss").Inc()
 	}
-	resp, err := c.rpc(request{Op: "read", Path: path})
+	resp, err := c.rpc(request{Op: opRead, Path: path})
 	if err != nil {
 		return resp.Data, err
 	}
@@ -1639,7 +1440,7 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 // and sliced while its generation holds, so walking a large body costs
 // one namespace visit, not one per chunk.
 func (c *Client) ReadFileAt(path string, off, count int64) ([]byte, error) {
-	resp, err := c.rpc(request{Op: "readat", Path: path, Offset: off, Count: count})
+	resp, err := c.rpc(request{Op: opReadAt, Path: path, Offset: off, Count: count})
 	return resp.Data, err
 }
 
@@ -1659,7 +1460,7 @@ func (c *Client) ReadWait(path string, since uint64, wait time.Duration) (data [
 	if wait < 0 {
 		wait = 0
 	}
-	req := request{Op: "readwait", Path: path, Offset: int64(since), Wait: int64(wait / time.Millisecond)}
+	req := request{Op: opReadWait, Path: path, Offset: int64(since), Wait: int64(wait / time.Millisecond)}
 	if c.Obs != nil {
 		defer func(t0 time.Time) {
 			c.Obs.Histogram("srvnet.readwait").Observe(time.Since(t0))
@@ -1813,59 +1614,69 @@ func (c *Client) pushInval(path string, gen uint64) {
 // path, if any, is invalidated.
 func (c *Client) WriteFile(path string, data []byte) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "write", Path: path, Data: data})
+	_, err := c.rpc(request{Op: opWrite, Path: path, Data: data})
 	return err
 }
 
 // AppendFile appends to a remote file, invalidating its cached entry.
 func (c *Client) AppendFile(path string, data []byte) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "write", Path: path, Data: data, Append: true})
+	_, err := c.rpc(request{Op: opWrite, Path: path, Data: data, Append: true})
 	return err
 }
 
 // ReadDir lists a remote directory. Piggybacked entry generations
 // revalidate cached reads of the directory's files.
 func (c *Client) ReadDir(path string) ([]vfs.Info, error) {
-	resp, err := c.rpc(request{Op: "readdir", Path: path})
+	resp, err := c.rpc(request{Op: opReadDir, Path: path})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]vfs.Info, len(resp.Entries))
-	cached := c.cacheEnabled()
-	for i, e := range resp.Entries {
-		out[i] = vfs.Info{Name: e.Name, IsDir: e.IsDir, Size: e.Size, ModTime: e.ModTime, Gen: e.Gen}
-		if cached && !e.IsDir {
-			c.cacheNote(vfs.Clean(path+"/"+e.Name), e.Gen)
+	if c.cacheEnabled() {
+		for _, e := range resp.Entries {
+			if !e.IsDir {
+				c.cacheNote(vfs.Clean(path+"/"+e.Name), e.Gen)
+			}
 		}
 	}
-	return out, nil
+	return resp.Entries, nil
 }
 
 // Stat describes a remote file. The reply's generation revalidates the
 // cached entry, so Stat-then-ReadFile is the strict-freshness idiom for
 // cached clients.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	resp, err := c.rpc(request{Op: "stat", Path: path})
+	resp, err := c.rpc(request{Op: opStat, Path: path})
 	if err != nil {
 		return vfs.Info{}, err
 	}
 	if c.cacheEnabled() {
 		c.cacheNote(path, resp.Gen)
 	}
-	return vfs.Info{Name: resp.Info.Name, IsDir: resp.Info.IsDir, Size: resp.Info.Size,
-		ModTime: resp.Info.ModTime, Gen: resp.Info.Gen}, nil
+	return statInfo(resp)
+}
+
+// statInfo unpacks a stat reply, which carries exactly one entry.
+func statInfo(resp response) (vfs.Info, error) {
+	if len(resp.Entries) != 1 {
+		return vfs.Info{}, fmt.Errorf("%w: stat reply with %d entries", ErrProto, len(resp.Entries))
+	}
+	return resp.Entries[0], nil
 }
 
 // Glob expands a pattern remotely.
 func (c *Client) Glob(pattern string) ([]string, error) {
-	resp, err := c.rpc(request{Op: "glob", Pattern: pattern})
-	return resp.Names, err
+	resp, err := c.rpc(request{Op: opGlob, Pattern: pattern})
+	var names []string
+	for _, e := range resp.Entries {
+		names = append(names, e.Name)
+	}
+	return names, err
 }
 
 // MkdirAll creates a remote directory tree.
 func (c *Client) MkdirAll(path string) error {
-	_, err := c.rpc(request{Op: "mkdir", Path: path})
+	_, err := c.rpc(request{Op: opMkdir, Path: path})
 	return err
 }
 
@@ -1873,6 +1684,6 @@ func (c *Client) MkdirAll(path string) error {
 // cached entry.
 func (c *Client) Remove(path string) error {
 	c.cacheInvalidate(path)
-	_, err := c.rpc(request{Op: "remove", Path: path})
+	_, err := c.rpc(request{Op: opRemove, Path: path})
 	return err
 }

@@ -186,7 +186,7 @@ func TestRemoteDrivesHelp(t *testing.T) {
 func TestUnknownOp(t *testing.T) {
 	fs := vfs.New()
 	c, _ := serve(t, fs)
-	if _, err := c.rpc(request{Op: "bogus"}); err == nil {
+	if _, err := c.rpc(request{Op: 0xee}); err == nil {
 		t.Error("unknown op should error")
 	}
 }
