@@ -160,6 +160,47 @@ func BenchmarkHelpfsBodyRead(b *testing.B) {
 	}
 }
 
+// BenchmarkHelpfsBodyWrite replaces a window's body through
+// /mnt/help/N/body with a journal attached: the file side of a remote
+// body write — decode into the buffer, journal the splice — without the
+// wire. Each write is an undoable replacement, so the history is dropped
+// outside the timer every 4096 writes, and sooner for large bodies so it
+// stays under ~64 MiB; the session is the same size however large b.N
+// grows.
+func BenchmarkHelpfsBodyWrite(b *testing.B) {
+	for _, size := range []int{1 << 10, 16 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			w, err := world.Build(120, 60)
+			if err != nil {
+				b.Fatal(err)
+			}
+			jw, err := journal.Open(journal.NewMemFS(), journal.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer jw.Close()
+			w.Help.AttachJournal(jw, 0)
+			win := w.Help.NewWindow()
+			path := fmt.Sprintf("%s/%d/body", world.MountRoot, win.ID)
+			data := []byte(strings.Repeat("text line\n", size/10+1)[:size])
+			every := min(4096, (8<<20)/size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.FS.WriteFile(path, data); err != nil {
+					b.Fatal(err)
+				}
+				if i%every == every-1 {
+					b.StopTimer()
+					win.Body.Load("")
+					b.StartTimer()
+				}
+			}
+			b.StopTimer()
+		})
+	}
+}
+
 // BenchmarkHelpfsBodyAppend (T6) appends through bodyapp, the path the
 // decl script's output takes.
 func BenchmarkHelpfsBodyAppend(b *testing.B) {

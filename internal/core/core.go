@@ -1079,7 +1079,7 @@ func (h *Help) put(w *Window, name string) error {
 	if name == "" {
 		return fmt.Errorf("window %d has no file name", w.ID)
 	}
-	if err := h.FS.WriteFile(vfs.Clean(name), []byte(w.Body.String())); err != nil {
+	if err := h.FS.WriteFile(vfs.Clean(name), w.Body.AppendUTF8(nil, 0, w.Body.Len())); err != nil {
 		return err
 	}
 	w.SetModified(false)

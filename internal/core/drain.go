@@ -49,10 +49,10 @@ type winShadow struct {
 // marks the window dirty and, with a journal attached, records the
 // splice.
 func (h *Help) hookSplice(w *Window, sub int) {
-	w.Buffer(sub).SetOnSplice(func(off, ndel int, ins []rune) {
+	w.Buffer(sub).SetOnSplice(func(off, ndel int, ins string) {
 		w.mark()
 		if rec := h.rec; rec != nil {
-			rec.emit(&journal.Op{Kind: journal.OpSplice, Win: w.ID, Sub: sub, P0: off, P1: ndel, Str1: string(ins)})
+			rec.emit(&journal.Op{Kind: journal.OpSplice, Win: w.ID, Sub: sub, P0: off, P1: ndel, Str1: ins})
 		}
 	})
 }

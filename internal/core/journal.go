@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/text"
 	"repro/internal/vfs"
 )
 
@@ -263,6 +265,16 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// appendText writes t's contents in appendStr's format, encoding the
+// runes straight into dst: a checkpoint never holds a second copy of a
+// body as runes or as a string.
+func appendText(dst []byte, t *text.Buffer) []byte {
+	n := t.ByteLen()
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = slices.Grow(dst, int(n))
+	return t.AppendUTF8(dst, 0, t.Len())
+}
+
 func appendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
 }
@@ -306,8 +318,8 @@ func encodeSnapshot(h *Help) []byte {
 		b = appendBool(b, w.hidden)
 		b = appendBool(b, w.IsDir)
 		b = appendInt(b, w.bodyOrg)
-		b = appendStr(b, w.Tag.String())
-		b = appendStr(b, w.Body.String())
+		b = appendText(b, w.Tag)
+		b = appendText(b, w.Body)
 		for sub := 0; sub < 2; sub++ {
 			b = appendInt(b, w.Sel.q[sub].Q0)
 			b = appendInt(b, w.Sel.q[sub].Q1)

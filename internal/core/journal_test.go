@@ -368,7 +368,7 @@ func TestHandlePanicRecovered(t *testing.T) {
 	if !found {
 		t.Fatal("window body not on screen")
 	}
-	w.Body.SetOnSplice(func(off, ndel int, ins []rune) { panic("poisoned hook") })
+	w.Body.SetOnSplice(func(off, ndel int, ins string) { panic("poisoned hook") })
 
 	func() {
 		defer func() {

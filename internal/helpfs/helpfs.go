@@ -206,11 +206,18 @@ type stringHandle struct {
 
 func (h *stringHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.k.read()
-	if off >= int64(len(h.content)) {
+	return readAt(p, off, h.content)
+}
+
+// readAt serves a read at byte offset off of a handle's fixed content,
+// returning io.EOF only with the read that reaches its end, so a reader
+// with a short buffer gets every byte.
+func readAt[T string | []byte](p []byte, off int64, content T) (int, error) {
+	if off >= int64(len(content)) {
 		return 0, io.EOF
 	}
-	n := copy(p, h.content[off:])
-	if int(off)+n == len(h.content) {
+	n := copy(p, content[off:])
+	if int(off)+n == len(content) {
 		return n, io.EOF
 	}
 	return n, nil
@@ -277,7 +284,7 @@ func (d *bufDevice) OpenDevice(mode int) (vfs.DeviceFile, error) {
 			// across its separate reads.
 			h.reader = text.NewByteReader(b)
 		} else {
-			h.snapshot = w.Buffer(d.sub).String()
+			h.snapshot = b.AppendUTF8(make([]byte, 0, b.Len()), 0, b.Len())
 		}
 	}
 	return h, nil
@@ -286,7 +293,7 @@ func (d *bufDevice) OpenDevice(mode int) (vfs.DeviceFile, error) {
 type bufHandle struct {
 	d        *bufDevice
 	w        *core.Window
-	snapshot string
+	snapshot []byte
 	// reader replaces snapshot for paged bodies; see OpenDevice.
 	reader   *text.ByteReader
 	readable bool
@@ -305,14 +312,7 @@ func (h *bufHandle) ReadAt(p []byte, off int64) (int, error) {
 	if h.reader != nil {
 		return h.reader.ReadAt(p, off)
 	}
-	if off >= int64(len(h.snapshot)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.snapshot[off:])
-	if int(off)+n == len(h.snapshot) {
-		return n, io.EOF
-	}
-	return n, nil
+	return readAt(p, off, h.snapshot)
 }
 
 func (h *bufHandle) WriteAt(p []byte, off int64) (int, error) {
@@ -384,11 +384,7 @@ type newCtlHandle struct {
 
 func (h *newCtlHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.k.read()
-	if off >= int64(len(h.name)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.name[off:])
-	return n, io.EOF
+	return readAt(p, off, h.name)
 }
 
 // WriteAt forwards control messages, so a script can create and configure
@@ -480,12 +476,7 @@ type ctlHandle struct {
 func (h *ctlHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.k.read()
 	// Reading ctl reports the window id, handy for scripts.
-	msg := strconv.Itoa(h.id) + "\n"
-	if off >= int64(len(msg)) {
-		return 0, io.EOF
-	}
-	n := copy(p, msg[off:])
-	return n, io.EOF
+	return readAt(p, off, strconv.Itoa(h.id)+"\n")
 }
 
 func (h *ctlHandle) WriteAt(p []byte, off int64) (int, error) {

@@ -2,6 +2,7 @@ package helpfs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -278,6 +279,50 @@ func TestCtlReadReportsID(t *testing.T) {
 	}
 	if strings.TrimSpace(string(data)) != "1" {
 		t.Errorf("ctl read = %q", data)
+	}
+}
+
+// TestCtlShortReads reads new/ctl and N/ctl one byte at a time: a reader
+// whose buffer is shorter than the reply must still get every byte, the
+// same bytes ReadFile returns.
+func TestCtlShortReads(t *testing.T) {
+	h, fs, _ := attach(t)
+	for i := 0; i < 12; i++ {
+		h.NewWindow()
+	}
+	bytewise := func(name string) string {
+		t.Helper()
+		f, err := fs.Open(name, vfs.OREAD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var out []byte
+		b := make([]byte, 1)
+		for len(out) < 64 {
+			n, err := f.Read(b)
+			out = append(out, b[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return string(out)
+	}
+	for _, c := range []struct{ read, want string }{
+		{"/mnt/help/new/ctl", "/mnt/help/13/ctl"}, // opening new/ctl makes window 13
+		{"/mnt/help/3/ctl", "/mnt/help/3/ctl"},
+	} {
+		got := bytewise(c.read)
+		want, err := fs.ReadFile(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) || !strings.HasSuffix(got, "\n") {
+			t.Errorf("%s read a byte at a time = %q, ReadFile(%s) = %q", c.read, got, c.want, want)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func FuzzJournalDecode(f *testing.F) {
 	} {
 		f.Add(appendOpPayload(nil, &op))
 		seg := appendSegmentHeader(nil, 0)
-		f.Add(appendRecord(seg, appendOpPayload(nil, &op)))
+		f.Add(append(seg, EncodeOp(&op)...))
 		f.Add(encodeCheckpoint(op.Gen, appendOpPayload(nil, &op)))
 	}
 	f.Add([]byte(segMagic))

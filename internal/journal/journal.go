@@ -171,20 +171,24 @@ func decodeOpPayload(b []byte) (Op, error) {
 	return op, nil
 }
 
-// appendRecord frames payload onto dst: length, CRC32-C, payload.
-func appendRecord(dst, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], record.Sum(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
+// opFixedMax bounds the encoded size of an op's fields other than its
+// two strings: the kind and flag bytes plus eight varints (gen, win,
+// sub, p0, p1, p2 and the two string lengths).
+const opFixedMax = 2 + 8*binary.MaxVarintLen64
 
-// EncodeOp frames op as a complete on-disk record. The byte sequence a
-// given op produces is independent of batching, which is what makes a
-// journal byte stream deterministic for a given session script.
+// EncodeOp frames op as a complete on-disk record: length, CRC32-C,
+// payload. The payload is encoded once, straight after a reserved
+// header that is then filled in place, into a record allocated at its
+// final size. The byte sequence a given op produces is independent of
+// batching, which is what makes a journal byte stream deterministic for
+// a given session script.
 func EncodeOp(op *Op) []byte {
-	return appendRecord(nil, appendOpPayload(nil, op))
+	rec := make([]byte, recHeaderLen, recHeaderLen+opFixedMax+len(op.Str1)+len(op.Str2))
+	rec = appendOpPayload(rec, op)
+	payload := rec[recHeaderLen:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], record.Sum(payload))
+	return rec
 }
 
 // segmentName returns the file name for the segment holding ops after

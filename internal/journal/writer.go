@@ -234,9 +234,15 @@ func (w *Writer) WriteCrashReport(report []byte) (string, error) {
 	return name, f.Close()
 }
 
+// maxBatchBuf caps the capacity of the batch buffer run keeps between
+// batches: a burst of large records may grow it further, but the grown
+// buffer is dropped after its batch instead of being held for good.
+const maxBatchBuf = 1 << 20
+
 // run is the writer goroutine: drain the queue, group-commit batches.
 func (w *Writer) run() {
 	defer close(w.done)
+	var buf []byte // reused across batches
 	for it := range w.ch {
 		batch := []item{it}
 		// Group commit: take everything already queued.
@@ -250,7 +256,6 @@ func (w *Writer) run() {
 			}
 		}
 		t0 := time.Now()
-		var buf []byte
 		flushBuf := func() {
 			if len(buf) == 0 {
 				return
@@ -279,6 +284,9 @@ func (w *Writer) run() {
 			}
 		}
 		flushBuf()
+		if cap(buf) > maxBatchBuf {
+			buf = nil
+		}
 		if w.cfg.Fsync != SyncNever {
 			w.syncSeg()
 		}

@@ -1,6 +1,7 @@
 package text
 
 import (
+	"slices"
 	"sort"
 	"unicode/utf8"
 )
@@ -21,9 +22,10 @@ import (
 type backing interface {
 	length() int
 	at(off int) rune
-	// appendRange appends the runes in [off, off+n) to dst and returns
-	// it. The range must be within bounds.
-	appendRange(dst []rune, off, n int) []rune
+	// appendUTF8 appends the UTF-8 encoding of the runes in [off, off+n)
+	// to dst and returns it, encoding straight from the stored runes.
+	// The range must be within bounds.
+	appendUTF8(dst []byte, off, n int) []byte
 	insert(off int, rs []rune)
 	// remove deletes [off, off+n). The removed runes are returned only
 	// when want is true; undo replay and wholesale reloads pass false so
@@ -69,6 +71,21 @@ func runesByteLen(rs []rune) int64 {
 	return n
 }
 
+// appendRunesUTF8 appends the UTF-8 encoding of rs to dst: the bytes
+// string(rs) would hold, invalid runes included (they encode as U+FFFD).
+// It is the one rune→byte encoder every read of buffer text goes through.
+func appendRunesUTF8(dst []byte, rs []rune) []byte {
+	dst = slices.Grow(dst, len(rs))
+	for _, r := range rs {
+		if uint32(r) < utf8.RuneSelf {
+			dst = append(dst, byte(r))
+			continue
+		}
+		dst = utf8.AppendRune(dst, r)
+	}
+	return dst
+}
+
 // memBacking is the original storage: a gap buffer of runes plus a flat
 // sorted newline index. Everything is resident.
 type memBacking struct {
@@ -96,19 +113,29 @@ func (m *memBacking) at(off int) rune {
 	return m.runes[off+(m.gapEnd-m.gapStart)]
 }
 
-func (m *memBacking) appendRange(dst []rune, off, n int) []rune {
-	// Bulk path: at most two copies, the parts before and after the gap.
+// spans returns the stored runes of [off, off+n) as at most two slices,
+// the parts before and after the gap; b is empty when the range does not
+// straddle the gap.
+func (m *memBacking) spans(off, n int) (a, b []rune) {
 	gap := m.gapEnd - m.gapStart
 	switch end := off + n; {
 	case end <= m.gapStart:
-		dst = append(dst, m.runes[off:end]...)
+		return m.runes[off:end], nil
 	case off >= m.gapStart:
-		dst = append(dst, m.runes[off+gap:end+gap]...)
+		return m.runes[off+gap : end+gap], nil
 	default:
-		dst = append(dst, m.runes[off:m.gapStart]...)
-		dst = append(dst, m.runes[m.gapEnd:end+gap]...)
+		return m.runes[off:m.gapStart], m.runes[m.gapEnd : end+gap]
 	}
-	return dst
+}
+
+func (m *memBacking) appendRange(dst []rune, off, n int) []rune {
+	a, b := m.spans(off, n)
+	return append(append(dst, a...), b...)
+}
+
+func (m *memBacking) appendUTF8(dst []byte, off, n int) []byte {
+	a, b := m.spans(off, n)
+	return appendRunesUTF8(appendRunesUTF8(dst, a), b)
 }
 
 // moveGap positions the gap at rune offset off.
@@ -162,13 +189,21 @@ func (m *memBacking) remove(off, n int, want bool) []rune {
 	if n == 0 {
 		return nil
 	}
-	m.moveGap(off)
 	var removed []rune
 	if want {
-		removed = make([]rune, n)
-		copy(removed, m.runes[m.gapEnd:m.gapEnd+n])
+		removed = m.appendRange(make([]rune, 0, n), off, n)
 	}
-	m.gapEnd += n
+	// Move the gap only to the near edge of [off, off+n): the runes
+	// inside are about to be dropped, so shifting them would be wasted
+	// copying. Then off <= gapStart <= off+n, and the gap widens over
+	// the range on both sides.
+	if end := off + n; m.gapStart > end {
+		m.moveGap(end)
+	} else if m.gapStart < off {
+		m.moveGap(off)
+	}
+	m.gapEnd += off + n - m.gapStart
+	m.gapStart = off
 	m.indexDelete(off, n)
 	if m.onMem != nil {
 		m.onMem(-n)
@@ -222,11 +257,11 @@ func (m *memBacking) indexDelete(off, n int) {
 	}
 }
 
-func (m *memBacking) nNewlines() int          { return len(m.newlines) }
-func (m *memBacking) newlineOff(i int) int    { return m.newlines[i] }
-func (m *memBacking) newlineIdx(off int) int  { return sort.SearchInts(m.newlines, off) }
-func (m *memBacking) memRunes() int           { return m.length() }
-func (m *memBacking) setOnMem(fn func(int))   { m.onMem = fn }
+func (m *memBacking) nNewlines() int         { return len(m.newlines) }
+func (m *memBacking) newlineOff(i int) int   { return m.newlines[i] }
+func (m *memBacking) newlineIdx(off int) int { return sort.SearchInts(m.newlines, off) }
+func (m *memBacking) memRunes() int          { return m.length() }
+func (m *memBacking) setOnMem(fn func(int))  { m.onMem = fn }
 
 func (m *memBacking) bytesTotal() int64 {
 	var total int64

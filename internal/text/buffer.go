@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Buffer is an editable sequence of runes.
@@ -57,7 +59,7 @@ type Buffer struct {
 	// session's change capture hangs off this hook: primInsert/primDelete
 	// are the single choke point all edits funnel through, so one
 	// callback captures every way a buffer can change.
-	onSplice func(off, ndel int, ins []rune)
+	onSplice func(off, ndel int, ins string)
 
 	// onMem, when set, observes the buffer's resident size moving. It is
 	// installed into the backing, which fires it with signed rune deltas:
@@ -79,7 +81,7 @@ type change struct {
 func NewBuffer(s string) *Buffer {
 	m := newMemBacking()
 	b := &Buffer{back: m, mem: m}
-	b.primInsert(0, []rune(s))
+	b.primInsert(0, []rune(s), s)
 	b.undo = nil // initial content is not undoable
 	b.modified = false
 	return b
@@ -103,6 +105,10 @@ func (b *Buffer) Len() int {
 	}
 	return b.bk().length()
 }
+
+// ByteLen returns the length of the buffer's UTF-8 encoding: the number
+// of bytes String or AppendUTF8 over the whole buffer produce.
+func (b *Buffer) ByteLen() int64 { return b.bk().bytesTotal() }
 
 // MemRunes returns the number of runes resident in process memory. For an
 // in-memory buffer this equals Len; for a paged buffer it is the cached
@@ -152,15 +158,22 @@ func (b *Buffer) recomputeModified() {
 // damage checks rely on.
 func (b *Buffer) Gen() uint64 { return b.gen }
 
-// primInsert inserts without recording undo.
-func (b *Buffer) primInsert(off int, rs []rune) {
+// primInsert inserts rs without recording undo. s is the string rs was
+// decoded from, or "" when there is none (undo/redo replay); the splice
+// observer gets it as is when that is exactly string(rs).
+func (b *Buffer) primInsert(off int, rs []rune, s string) {
 	if off < 0 || off > b.Len() {
 		panic(fmt.Sprintf("text: insert offset %d out of range [0,%d]", off, b.Len()))
 	}
 	b.bk().insert(off, rs)
 	b.gen++
 	if b.onSplice != nil {
-		b.onSplice(off, 0, rs)
+		if s == "" || !utf8.ValidString(s) {
+			// An invalid byte decoded to U+FFFD, so the observer must
+			// see the runes' encoding, not the source bytes.
+			s = string(rs)
+		}
+		b.onSplice(off, 0, s)
 	}
 }
 
@@ -175,18 +188,21 @@ func (b *Buffer) primDelete(off, n int, want bool) []rune {
 	removed := b.bk().remove(off, n, want)
 	b.gen++
 	if b.onSplice != nil {
-		b.onSplice(off, n, nil)
+		b.onSplice(off, n, "")
 	}
 	return removed
 }
 
 // Insert inserts s at rune offset off.
-func (b *Buffer) Insert(off int, s string) {
-	rs := []rune(s)
+func (b *Buffer) Insert(off int, s string) { b.insert(off, []rune(s), s) }
+
+// insert inserts rs at off as an undoable edit; s is the string rs was
+// decoded from, as primInsert takes it.
+func (b *Buffer) insert(off int, rs []rune, s string) {
 	if len(rs) == 0 {
 		return
 	}
-	b.primInsert(off, rs)
+	b.primInsert(off, rs, s)
 	if !b.noUndo {
 		if b.cleanLen > len(b.undo) {
 			// The clean state lived in the redo history about to be
@@ -200,9 +216,12 @@ func (b *Buffer) Insert(off int, s string) {
 }
 
 // Delete removes n runes starting at off and returns them as a string.
-func (b *Buffer) Delete(off, n int) string {
+func (b *Buffer) Delete(off, n int) string { return string(b.delete(off, n)) }
+
+// delete removes n runes at off as an undoable edit and returns them.
+func (b *Buffer) delete(off, n int) []rune {
 	if n == 0 {
-		return ""
+		return nil
 	}
 	removed := b.primDelete(off, n, true)
 	if !b.noUndo {
@@ -213,13 +232,13 @@ func (b *Buffer) Delete(off, n int) string {
 		b.redo = nil
 	}
 	b.recomputeModified()
-	return string(removed)
+	return removed
 }
 
 // Replace substitutes the range [off, off+n) with s as a single undo step.
 func (b *Buffer) Replace(off, n int, s string) {
 	b.Commit()
-	b.Delete(off, n)
+	b.delete(off, n)
 	b.Insert(off, s)
 	b.Commit()
 }
@@ -243,7 +262,7 @@ func (b *Buffer) Undo() bool {
 		if c.insert {
 			b.primDelete(c.off, len(c.text), false)
 		} else {
-			b.primInsert(c.off, c.text)
+			b.primInsert(c.off, c.text, "")
 		}
 		b.redo = append(b.redo, c)
 	}
@@ -264,7 +283,7 @@ func (b *Buffer) Redo() bool {
 		c := b.redo[len(b.redo)-1]
 		b.redo = b.redo[:len(b.redo)-1]
 		if c.insert {
-			b.primInsert(c.off, c.text)
+			b.primInsert(c.off, c.text, "")
 		} else {
 			b.primDelete(c.off, len(c.text), false)
 		}
@@ -302,25 +321,46 @@ func (b *Buffer) atSlow(off int) rune {
 	return b.bk().at(off)
 }
 
-// Slice returns the runes in [off, off+n) as a string, clamped to the
-// buffer bounds.
-func (b *Buffer) Slice(off, n int) string {
+// AppendUTF8 appends the UTF-8 encoding of the runes in [off, off+n),
+// clamped to the buffer bounds, to dst and returns the extended slice.
+// It encodes straight from the backing's storage — the gap buffer's two
+// segments, or a paged buffer's pieces page by page — with no
+// intermediate rune copy, and it is the one encoder every read of the
+// buffer goes through: Slice, String, the file interface and session
+// checkpoints. Runes that are not valid code points encode as U+FFFD,
+// byte for byte what string([]rune) produces.
+func (b *Buffer) AppendUTF8(dst []byte, off, n int) []byte {
+	off, n = b.clamp(off, n)
+	if n <= 0 {
+		return dst
+	}
+	return b.bk().appendUTF8(dst, off, n)
+}
+
+// clamp limits the range [off, off+n) to the buffer bounds; the n it
+// returns is <= 0 when nothing of the range is left.
+func (b *Buffer) clamp(off, n int) (int, int) {
 	if off < 0 {
 		n += off
 		off = 0
 	}
-	if off > b.Len() {
-		return ""
+	if l := b.Len(); off+n > l {
+		n = l - off
 	}
-	if off+n > b.Len() {
-		n = b.Len() - off
-	}
+	return off, n
+}
+
+// Slice returns the runes in [off, off+n) as a string, clamped to the
+// buffer bounds.
+func (b *Buffer) Slice(off, n int) string {
+	off, n = b.clamp(off, n)
 	if n <= 0 {
 		return ""
 	}
-	out := make([]rune, 0, n)
-	out = b.bk().appendRange(out, off, n)
-	return string(out)
+	buf := b.bk().appendUTF8(make([]byte, 0, n), off, n)
+	// buf is never written again, so the string may share its memory,
+	// as strings.Builder's does.
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
 // String returns the whole buffer contents.
@@ -334,12 +374,18 @@ func (b *Buffer) SetString(s string) {
 
 // SetOnSplice installs (or, with nil, removes) the splice observer: a
 // callback invoked after every primitive mutation with the rune offset,
-// the number of runes deleted there, and the runes inserted. Exactly one
-// of ndel/len(ins) is non-zero per call. ins is only valid during the
-// call — an observer that keeps the text copies it — so an observer
-// that only needs to know that something changed costs no allocation.
+// the number of runes deleted there, and the text inserted. Exactly one
+// of ndel/len(ins) is non-zero per call; a delete passes "", so nothing
+// is encoded for text that is only being removed.
+//
+// ins always equals string(<the runes inserted>). Insert, SetString,
+// Load and ApplySplice pass their own argument through, without a copy,
+// when it is valid UTF-8; when it is not, they pass the encoding of the
+// decoded runes, in which each invalid byte is the U+FFFD the buffer
+// holds. Undo/redo replay and wholesale backing swaps (LoadPaged,
+// AdoptClone) encode the runes they insert. An observer may keep ins.
 // The callback must not mutate the buffer.
-func (b *Buffer) SetOnSplice(fn func(off, ndel int, ins []rune)) {
+func (b *Buffer) SetOnSplice(fn func(off, ndel int, ins string)) {
 	b.onSplice = fn
 }
 
@@ -364,7 +410,7 @@ func (b *Buffer) Load(s string) {
 		b.primDelete(0, n, false)
 	}
 	if rs := []rune(s); len(rs) > 0 {
-		b.primInsert(0, rs)
+		b.primInsert(0, rs, s)
 	}
 	b.noUndo = false
 	b.undo = nil
@@ -387,7 +433,7 @@ func (b *Buffer) swapBacking(nb backing) {
 	if oldLen > 0 {
 		b.gen++
 		if b.onSplice != nil {
-			b.onSplice(0, oldLen, nil)
+			b.onSplice(0, oldLen, "")
 		}
 	}
 	old.setOnMem(nil)
@@ -407,8 +453,7 @@ func (b *Buffer) swapBacking(nb backing) {
 	if nb.length() > 0 {
 		b.gen++
 		if b.onSplice != nil {
-			n := nb.length()
-			b.onSplice(0, 0, nb.appendRange(make([]rune, 0, n), 0, n))
+			b.onSplice(0, 0, b.String())
 		}
 	}
 	b.undo = nil
@@ -456,7 +501,7 @@ func (b *Buffer) ApplySplice(off, ndel int, ins string) error {
 		b.primDelete(off, ndel, false)
 	}
 	if rs := []rune(ins); len(rs) > 0 {
-		b.primInsert(off, rs)
+		b.primInsert(off, rs, ins)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyBuffer(t *testing.T) {
@@ -626,5 +627,57 @@ func BenchmarkAddressLine(b *testing.B) {
 		if _, _, err := buf.Address("1500"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSpliceObserverText pins what the splice observer is handed: a
+// delete passes "", and an insert passes string(<runes inserted>) —
+// the caller's own string, not a copy, when it is valid UTF-8, and the
+// runes' encoding (each invalid byte a U+FFFD) when it is not.
+func TestSpliceObserverText(t *testing.T) {
+	b := NewBuffer("start")
+	var ins []string
+	b.SetOnSplice(func(off, ndel int, s string) {
+		if (ndel == 0) == (s == "") {
+			t.Fatalf("splice(%d, %d, %q): exactly one of ndel and ins must be non-empty", off, ndel, s)
+		}
+		if s != "" {
+			ins = append(ins, s)
+		}
+	})
+	valid := "héllo\n"
+	b.Insert(0, valid)
+	if len(ins) != 1 || unsafe.StringData(ins[0]) != unsafe.StringData(valid) {
+		t.Fatalf("valid Insert passed %q, want the caller's string itself", ins)
+	}
+	// "\xe2\x82" is a cut-off "€": two runes of U+FFFD, as is "\xff".
+	bad := "a\xe2\x82b\xff"
+	want := string([]rune(bad))
+	for _, c := range []struct {
+		name string
+		edit func()
+	}{
+		{"Insert", func() { b.Insert(b.Len(), bad) }},
+		{"SetString", func() { b.SetString(bad) }},
+		{"Load", func() { b.Load(bad) }},
+		{"ApplySplice", func() {
+			if err := b.ApplySplice(0, b.Len(), bad); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		ins = nil
+		c.edit()
+		if len(ins) != 1 || ins[0] != want {
+			t.Fatalf("%s of invalid UTF-8 passed %q, want [%q]", c.name, ins, want)
+		}
+	}
+	b.Load("one")
+	b.SetString("two")
+	ins = nil
+	b.Undo()
+	b.Redo()
+	if strings.Join(ins, "|") != "one|two" {
+		t.Fatalf("undo/redo replay passed %q, want [one two]", ins)
 	}
 }

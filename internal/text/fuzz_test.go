@@ -149,11 +149,79 @@ func FuzzAddress(f *testing.F) {
 	})
 }
 
+// invalidRunes are rune values that are not code points. No decoded
+// string yields them, so tests insert them below Insert; the encoder
+// must write each as U+FFFD, as string([]rune) does.
+var invalidRunes = []rune{0xD800, 'é', -1, 0x110000, '\n', 0xDFFF}
+
+// refSlice is the encoder's reference: the runes the backing holds in
+// the clamped range, read one at a time and encoded by string().
+func refSlice(b *Buffer, off, n int) string {
+	off, n = b.clamp(off, n)
+	var rs []rune
+	for i := off; i < off+n; i++ {
+		rs = append(rs, b.bk().at(i))
+	}
+	return string(rs)
+}
+
+// checkAppendUTF8 asserts that AppendUTF8 (after a prefix already in
+// dst) and Slice encode ranges exactly as string() encodes the runes
+// stored there. The ranges end at, start at and straddle every storage
+// seam — the gap of a gap buffer; the piece and page boundaries of a
+// paged one — and the buffer's ends, with some clamped past them.
+func checkAppendUTF8(t *testing.T, b *Buffer) {
+	t.Helper()
+	n := b.Len()
+	seams := []int{0, n}
+	switch bk := b.back.(type) {
+	case *memBacking:
+		seams = append(seams, bk.gapStart)
+	case *pagedBacking:
+		for i, pc := range bk.pieces {
+			seams = append(seams, bk.cumR[i])
+			if pc.add {
+				continue
+			}
+			for no := bk.idx.pageOfRune(pc.fr0) + 1; no < bk.idx.npages() && bk.idx.cumR[no] < pc.fr0+pc.n; no++ {
+				seams = append(seams, bk.cumR[i]+bk.idx.cumR[no]-pc.fr0)
+			}
+		}
+	}
+	for _, s := range seams {
+		for _, r := range [][2]int{{s - 3, 3}, {s, 3}, {s - 2, 5}, {s - 1, 19}} {
+			want := refSlice(b, r[0], r[1])
+			if got := b.AppendUTF8([]byte("<"), r[0], r[1]); string(got) != "<"+want {
+				t.Fatalf("AppendUTF8(%d, %d) = %q, want %q", r[0], r[1], got[1:], want)
+			}
+			if got := b.Slice(r[0], r[1]); got != want {
+				t.Fatalf("Slice(%d, %d) = %q, want %q", r[0], r[1], got, want)
+			}
+		}
+	}
+	if got, want := b.String(), refSlice(b, 0, n); got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if got := b.ByteLen(); got != int64(len(b.String())) {
+		t.Fatalf("ByteLen = %d, want %d", got, len(b.String()))
+	}
+}
+
 // FuzzEditSequence applies a byte-coded edit script; the buffer must stay
-// internally consistent and undo must restore the starting state.
+// internally consistent, encode every range like string(), and undo
+// must restore the starting state.
 func FuzzEditSequence(f *testing.F) {
 	f.Add("seed text", []byte{0, 5, 1, 2, 2})
 	f.Add("", []byte{0, 0, 0, 1})
+	// "ab" inserted at 4 leaves the gap at 6; then deletes of [3,6),
+	// [6,10) and [5,10) end at, start at and straddle it, and [1,2) and
+	// [8,10) lie before and after it.
+	f.Add("0123456789", []byte{0, 4, 1, 3})
+	f.Add("0123456789", []byte{0, 4, 1, 18})
+	f.Add("0123456789", []byte{0, 4, 1, 5})
+	f.Add("0123456789", []byte{0, 4, 1, 1})
+	f.Add("0123456789", []byte{0, 4, 1, 32})
+	f.Add("a\xffb", []byte{3, 1, 1, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, initial string, script []byte) {
 		if len(initial) > 1024 || len(script) > 256 {
 			return
@@ -163,10 +231,13 @@ func FuzzEditSequence(f *testing.F) {
 		b.Commit()
 		edits := 0
 		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i]%3, int(script[i+1])
+			op, arg := script[i]%4, int(script[i+1])
 			switch op {
 			case 0:
 				b.Insert(arg%(b.Len()+1), "ab")
+				edits++
+			case 3:
+				b.insert(arg%(b.Len()+1), invalidRunes, "")
 				edits++
 			case 1:
 				if b.Len() > 0 {
@@ -180,6 +251,7 @@ func FuzzEditSequence(f *testing.F) {
 			case 2:
 				b.Commit()
 			}
+			checkAppendUTF8(t, b)
 		}
 		if b.Len() < 0 {
 			t.Fatal("negative length")

@@ -475,7 +475,10 @@ func (pb *pagedBacking) at(off int) rune {
 	return pg.runes[k]
 }
 
-func (pb *pagedBacking) appendRange(dst []rune, off, n int) []rune {
+// spans calls fn with the stored runes of [off, off+n) in order, one
+// slice per add-store piece and per page of a file piece, faulting pages
+// in as it goes. fn must not keep the slice.
+func (pb *pagedBacking) spans(off, n int, fn func([]rune)) {
 	for n > 0 {
 		i := pb.findPiece(off)
 		pc := &pb.pieces[i]
@@ -485,7 +488,7 @@ func (pb *pagedBacking) appendRange(dst []rune, off, n int) []rune {
 			take = n
 		}
 		if pc.add {
-			dst = append(dst, pb.add[pc.off+rel:pc.off+rel+take]...)
+			fn(pb.add[pc.off+rel : pc.off+rel+take])
 			off += take
 			n -= take
 			continue
@@ -497,13 +500,22 @@ func (pb *pagedBacking) appendRange(dst []rune, off, n int) []rune {
 			if t > take {
 				t = take
 			}
-			dst = append(dst, pg.runes[k:k+t]...)
+			fn(pg.runes[k : k+t])
 			fr += t
 			off += t
 			take -= t
 			n -= t
 		}
 	}
+}
+
+func (pb *pagedBacking) appendRange(dst []rune, off, n int) []rune {
+	pb.spans(off, n, func(rs []rune) { dst = append(dst, rs...) })
+	return dst
+}
+
+func (pb *pagedBacking) appendUTF8(dst []byte, off, n int) []byte {
+	pb.spans(off, n, func(rs []rune) { dst = appendRunesUTF8(dst, rs) })
 	return dst
 }
 

@@ -137,7 +137,8 @@ func checkReader(t *testing.T, b *Buffer) {
 
 // applyDiffScript drives identical edit scripts against a mem-backed and a
 // paged buffer, asserting full observable equality — contents, line index,
-// undo/redo, modified flag, and generation deltas — after every step.
+// undo/redo, modified flag, generation deltas, and each one's encoding of
+// ranges around its storage seams — after every step.
 func applyDiffScript(t *testing.T, mem, paged *Buffer, script []byte) {
 	t.Helper()
 	genM0, genP0 := mem.Gen(), paged.Gen()
@@ -147,10 +148,12 @@ func applyDiffScript(t *testing.T, mem, paged *Buffer, script []byte) {
 			t.Fatalf("gen delta diverged: mem %d, paged %d", dm, dp)
 		}
 		checkSame(t, mem, paged)
+		checkAppendUTF8(t, mem)
+		checkAppendUTF8(t, paged)
 	}
 	check()
 	for i := 0; i+1 < len(script); i += 2 {
-		op, arg := script[i]%8, int(script[i+1])
+		op, arg := script[i]%9, int(script[i+1])
 		switch op {
 		case 0:
 			off := arg % (mem.Len() + 1)
@@ -190,6 +193,10 @@ func applyDiffScript(t *testing.T, mem, paged *Buffer, script []byte) {
 			if mem.Len() < 2000 {
 				checkLineIndex(t, paged)
 			}
+		case 8:
+			off := arg % (mem.Len() + 1)
+			mem.insert(off, invalidRunes, "")
+			paged.insert(off, invalidRunes, "")
 		}
 		check()
 	}
@@ -225,6 +232,7 @@ func FuzzPagedBuffer(f *testing.F) {
 	f.Add([]byte(""), []byte{0, 0, 1, 1, 6, 9})
 	f.Add([]byte("αβγ\nδεζ"), []byte{1, 2, 2, 5, 3, 0, 7, 0})
 	f.Add([]byte{0xff, 0xfe, 'a', '\n', 0xc3}, []byte{0, 1, 2, 2})
+	f.Add([]byte("0123456789abcdef0123456789"), []byte{8, 9, 8, 3, 2, 11, 3, 0})
 	f.Fuzz(func(t *testing.T, content []byte, script []byte) {
 		if len(content) > 4096 || len(script) > 96 {
 			return
@@ -379,8 +387,8 @@ func TestPagedSourceError(t *testing.T) {
 func TestSwapBackingSplice(t *testing.T) {
 	b := NewBuffer("old text")
 	var log []string
-	b.SetOnSplice(func(off, ndel int, ins []rune) {
-		log = append(log, strings.Join([]string{string(rune('0' + off%10)), string(rune('0' + ndel%10)), string(ins)}, "|"))
+	b.SetOnSplice(func(off, ndel int, ins string) {
+		log = append(log, strings.Join([]string{string(rune('0' + off%10)), string(rune('0' + ndel%10)), ins}, "|"))
 	})
 	if err := b.LoadPaged(byteSource("new\ncontents"), 1<<20); err != nil {
 		t.Fatal(err)
@@ -440,3 +448,13 @@ func TestByteReaderMidRune(t *testing.T) {
 
 // addLen exposes the add-store size for the clone test.
 func (pb *pagedBacking) addLen() int { return len(pb.add) }
+
+// TestByteReaderChunks reads buffers several reader chunks long, so
+// sequential reads cross from one encoded chunk into the next, with
+// multi-byte runes straddling the 7-byte reads.
+func TestByteReaderChunks(t *testing.T) {
+	content := strings.Repeat("aβ\n𝛾δe", readerChunk/2)
+	for _, b := range []*Buffer{NewBuffer(content), newPagedBuffer(t, content, 1024, 256)} {
+		checkReader(t, b)
+	}
+}

@@ -3,43 +3,44 @@ package text
 import (
 	"fmt"
 	"io"
-	"unicode/utf8"
 )
 
-// readerChunk is how many runes a ByteReader stages per backing fetch.
+// readerChunk is how many runes a ByteReader encodes per backing fetch.
 const readerChunk = 4096
 
 // ByteReader adapts a Buffer to io.ReaderAt over its UTF-8 encoding, so
 // the file interface can serve body bytes straight from piece slices
-// without materializing String(). Sequential reads advance a cursor in
-// O(bytes); a random seek costs one byte→rune resolution in the backing.
+// without materializing String(). It encodes readerChunk runes at a time
+// with AppendUTF8: sequential reads continue from the last chunk in
+// O(bytes), and a random seek costs one byte→rune resolution in the
+// backing.
 //
-// The reader tracks the buffer's generation: any edit invalidates the
-// cursor and the next read re-seeks, observing the current contents
-// (reads through the file interface are live, matching the snapshot-free
+// The reader tracks the buffer's generation: any edit drops the chunk
+// and the next read re-seeks, observing the current contents (reads
+// through the file interface are live, matching the snapshot-free
 // semantics a paged buffer can afford).
 //
 // ByteReader is not safe for concurrent use; like the Buffer itself it
 // relies on the session's serialized event loop.
 type ByteReader struct {
-	b       *Buffer
-	gen     uint64
-	runeOff int   // next rune to encode
-	byteOff int64 // byte offset the cursor corresponds to
-	pending []byte
-	pbuf    [utf8.UTFMax]byte
+	b   *Buffer
+	gen uint64
 
-	chunk      []rune
-	chunkStart int
+	// buf is the encoding of the runes before next, starting at byte
+	// offset bufOff. It is empty before the first read and after an
+	// edit.
+	buf    []byte
+	bufOff int64
+	next   int
 }
 
-// NewByteReader returns a reader positioned at byte offset 0.
+// NewByteReader returns a reader over b.
 func NewByteReader(b *Buffer) *ByteReader {
-	return &ByteReader{b: b, gen: b.Gen(), chunkStart: -1}
+	return &ByteReader{b: b, gen: b.Gen()}
 }
 
 // Size returns the buffer's UTF-8 encoded length in bytes.
-func (r *ByteReader) Size() int64 { return r.b.bk().bytesTotal() }
+func (r *ByteReader) Size() int64 { return r.b.ByteLen() }
 
 // ReadAt implements io.ReaderAt: it fills p with the buffer's UTF-8
 // encoding starting at byte offset off, returning io.EOF when the
@@ -50,67 +51,38 @@ func (r *ByteReader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if g := r.b.Gen(); g != r.gen {
 		r.gen = g
-		r.chunk = nil
-		r.chunkStart = -1
-		r.byteOff = -1 // force a seek
-		r.pending = nil
-	}
-	if off != r.byteOff {
-		r.seek(off)
+		r.buf = r.buf[:0]
 	}
 	n := 0
-	total := r.b.Len()
 	for n < len(p) {
-		if len(r.pending) > 0 {
-			c := copy(p[n:], r.pending)
-			n += c
-			r.pending = r.pending[c:]
+		at := off + int64(n)
+		end := r.bufOff + int64(len(r.buf))
+		if len(r.buf) > 0 && r.bufOff <= at && at < end {
+			n += copy(p[n:], r.buf[at-r.bufOff:])
 			continue
 		}
-		if r.runeOff >= total {
-			break
-		}
-		sz := utf8.EncodeRune(r.pbuf[:], r.runeAt(r.runeOff))
-		r.runeOff++
-		if sz <= len(p)-n {
-			copy(p[n:], r.pbuf[:sz])
-			n += sz
+		if len(r.buf) > 0 && at == end {
+			r.fill(r.next, end) // sequential: encode the runes that follow
 		} else {
-			c := copy(p[n:], r.pbuf[:sz])
-			n += c
-			r.pending = r.pbuf[c:sz]
+			// A seek; off may land inside a multi-byte rune, whose
+			// remaining bytes are then the first served.
+			runeOff, runeStart := r.b.bk().seekByte(at)
+			r.fill(runeOff, runeStart)
+		}
+		if len(r.buf) == 0 {
+			break // end of buffer
 		}
 	}
-	r.byteOff = off + int64(n)
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-// seek positions the cursor at byte offset off. If off lands inside a
-// multi-byte rune, the rune's remaining bytes become pending output.
-func (r *ByteReader) seek(off int64) {
-	runeOff, runeStart := r.b.bk().seekByte(off)
-	r.runeOff = runeOff
-	r.pending = nil
-	if runeStart < off {
-		sz := utf8.EncodeRune(r.pbuf[:], r.runeAt(runeOff))
-		r.pending = r.pbuf[off-runeStart : sz]
-		r.runeOff++
-	}
-}
-
-// runeAt reads one rune through a staging chunk so sequential encoding
-// costs one backing fetch per readerChunk runes.
-func (r *ByteReader) runeAt(off int) rune {
-	if r.chunkStart < 0 || off < r.chunkStart || off >= r.chunkStart+len(r.chunk) {
-		n := readerChunk
-		if total := r.b.Len(); off+n > total {
-			n = total - off
-		}
-		r.chunk = r.b.bk().appendRange(r.chunk[:0], off, n)
-		r.chunkStart = off
-	}
-	return r.chunk[off-r.chunkStart]
+// fill encodes up to readerChunk runes from rune offset from, whose
+// encoding starts at byte offset byteOff.
+func (r *ByteReader) fill(from int, byteOff int64) {
+	r.buf = r.b.AppendUTF8(r.buf[:0], from, readerChunk)
+	r.bufOff = byteOff
+	r.next = min(from+readerChunk, r.b.Len())
 }
