@@ -6,17 +6,20 @@ GO ?= go
 
 all: test
 
-# Tier-1: build, vet, plain tests, then a race-checked pass so the
-# concurrent srvnet/faultnet paths are exercised on every PR. The
+# Tier-1: formatting, build, vet, plain tests, then a race-checked pass
+# so the concurrent srvnet/faultnet paths are exercised on every PR. The
 # chaos harness rides along as a small smoke (24 users); `make chaos`
 # runs the full fleet.
 test:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./...
 
 race:
 	$(GO) test -race ./...
 
+# gofmt -l lists every file whose formatting differs; any output fails.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 
 # Bench evidence loop: run the suite serially three times (separate

@@ -10,7 +10,8 @@ package core_test
 // but not what they say. After every step the drain audit also checks
 // that no window's live state differs from what the drain last saw: a
 // mutation that forgot to mark its window fails here, at the step that
-// made it.
+// made it. TestCaptureRenderEquivalence replays the same script against
+// the render audit instead.
 
 import (
 	"flag"
@@ -146,152 +147,9 @@ func TestCaptureGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, fs := s.H, s.W.FS
 	c := newCapture(t, s)
 	c.step("attach")
-
-	gestures := 0
-	s.AfterGesture = func() {
-		gestures++
-		c.step(fmt.Sprintf("figure gesture %d", gestures))
-	}
-	if err := s.RunDebugSession(); err != nil {
-		t.Fatal(err)
-	}
-	s.AfterGesture = nil
-	c.step("figures done")
-
-	mustWrite := func(path, data string) {
-		t.Helper()
-		if err := fs.WriteFile(path, []byte(data)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	handle := func(name string, evs []event.Event) {
-		t.Helper()
-		h.HandleAll(evs)
-		c.step(name)
-	}
-	at := func(w *core.Window, substr string) geom.Point {
-		t.Helper()
-		h.Render()
-		p, ok := h.FindBody(w, substr)
-		if !ok {
-			t.Fatalf("%q not visible in window %d", substr, w.ID)
-		}
-		return p
-	}
-
-	// Typing, Cut/Paste, Undo and scrolling in a window of its own.
-	mustWrite("/tmp/input", "alpha beta gamma\n"+strings.Repeat("filler line\n", 120))
-	in, err := h.OpenFile("/tmp/input", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Reveal(in)
-	c.step("open input")
-	handle("click", event.Click(event.Left, at(in, "beta")))
-	handle("type", event.Type("typed "))
-	handle("backspace", event.Type("\b\b"))
-	p := at(in, "gamma")
-	handle("sweep", event.Sweep(event.Left, p, p.Add(geom.Pt(5, 0))))
-	handle("type over selection", event.Type("GAMMA"))
-	p = at(in, "alpha")
-	handle("cut chord", event.SweepChord(event.Left, p, p.Add(geom.Pt(6, 0)), event.Middle))
-	handle("paste chord", event.ChordClick(event.Left, at(in, "GAMMA"), event.Right))
-	h.Execute(in, "Undo")
-	c.step("Undo")
-	h.Execute(in, "Undo")
-	c.step("Undo again")
-	h.Execute(in, "Redo")
-	c.step("Redo")
-	tag, ok := h.FindTag(in, "")
-	if !ok {
-		t.Fatal("input tag not visible")
-	}
-	bar := geom.Pt(h.ColumnRect(h.ColumnIndexOf(in)).Min.X+1, tag.Y+4)
-	handle("scroll forward", event.Click(event.Right, bar))
-	handle("scroll back", event.Click(event.Left, bar))
-	handle("scroll jump", event.Click(event.Middle, bar.Add(geom.Pt(0, 3))))
-
-	// Buffer swaps: Put!, Get! after an outside change, Clone!, a
-	// directory open, and a paged open with its own Clone! and Get!.
-	h.Execute(in, "Put!")
-	c.step("Put!")
-	mustWrite("/tmp/input", "replaced from outside\n")
-	h.Execute(in, "Get!")
-	c.step("Get!")
-	h.Execute(in, "Clone!")
-	c.step("Clone!")
-	dirWin, err := h.OpenFile("/tmp", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.step("open directory")
-	h.SetLimits(core.Limits{MaxResident: 4096})
-	mustWrite("/tmp/big", strings.Repeat("a paged line of text\n", 1000))
-	big, err := h.OpenFile("/tmp/big", "300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.step("open paged")
-	h.Execute(big, "Clone!")
-	c.step("Clone! paged")
-	mustWrite("/tmp/big", strings.Repeat("a rewritten paged line\n", 900))
-	h.Execute(big, "Get!")
-	c.step("Get! paged")
-	h.SetLimits(core.Limits{MaxResident: core.DefaultMaxResident})
-
-	// Placement stage three: keep opening windows in the left column
-	// until the heuristic has to hide the windows it covers.
-	left := h.NewWindowIn(0)
-	h.SetCurrent(left, core.SubBody)
-	c.step("new window in left column")
-	for i := 0; i < 14; i++ {
-		name := fmt.Sprintf("/tmp/place%d", i)
-		mustWrite(name, strings.Repeat(fmt.Sprintf("file %d\n", i), 12))
-		if _, err := h.OpenFile(name, ""); err != nil {
-			t.Fatal(err)
-		}
-		c.step("place " + name)
-	}
-
-	// The file interface: create a window, then every ctl message, a
-	// body replacement and a bodyapp append.
-	f, err := fs.Open(world.MountRoot+"/new/ctl", vfs.OREAD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16)
-	n, _ := f.Read(buf)
-	f.Close()
-	dir := world.MountRoot + "/" + strings.TrimSpace(string(buf[:n]))
-	c.step("new/ctl")
-	for _, m := range []struct{ file, data string }{
-		{"body", "one\ntwo\nthree\nfour\nfive\n"},
-		{"bodyapp", "six\n"},
-		{"ctl", "name /tmp/ctlwin"},
-		{"ctl", "tag /tmp/ctlwin Close! Special"},
-		{"ctl", "dirty"},
-		{"ctl", "clean"},
-		{"ctl", "show 3"},
-		{"ctl", "select 4 8"},
-		{"tag", "/tmp/ctlwin2\tClose!"},
-		{"ctl", "delete"},
-	} {
-		mustWrite(dir+"/"+m.file, m.data)
-		c.step(m.file + " " + m.data)
-	}
-	// A directory window's tag never shows Put!, so here the clean and
-	// dirty messages change nothing but the modified flag.
-	for _, msg := range []string{"dirty", "clean"} {
-		mustWrite(fmt.Sprintf("%s/%d/ctl", world.MountRoot, dirWin.ID), msg)
-		c.step("directory ctl " + msg)
-	}
-	if err := fs.WriteFile(world.MountRoot+"/ctl", []byte("open /tmp/place3:2\n")); err != nil {
-		t.Fatal(err)
-	}
-	c.step("root ctl open")
+	captureScript(t, s, c.step)
 
 	got := c.out.String()
 	if *update {
@@ -319,4 +177,178 @@ func TestCaptureGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCaptureRenderEquivalence replays the capture script with the
+// render audit after every step: an incremental render must paint what
+// a full repaint paints, so a mutation that forgot to damage its column
+// fails at the step that made it. It cannot ride along in
+// TestCaptureGolden: a render clamps stale scroll origins, which the
+// journal records, so the extra renders would change the golden.
+func TestCaptureRenderEquivalence(t *testing.T) {
+	s, err := session.New(120, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, steps := s.H, 0
+	step := func(name string) {
+		t.Helper()
+		h.WaitIdle()
+		done := make(chan error)
+		h.Apply(func() { done <- core.AuditRender(h) })
+		if err := <-done; err != nil {
+			t.Fatalf("step %d (%s): %v", steps, name, err)
+		}
+		steps++
+	}
+	step("attach")
+	captureScript(t, s, step)
+}
+
+// captureScript drives the scripted session, calling step after each
+// gesture, command, file operation and ctl message.
+func captureScript(t *testing.T, s *session.Session, step func(name string)) {
+	h, fs := s.H, s.W.FS
+	gestures := 0
+	s.AfterGesture = func() {
+		gestures++
+		step(fmt.Sprintf("figure gesture %d", gestures))
+	}
+	if err := s.RunDebugSession(); err != nil {
+		t.Fatal(err)
+	}
+	s.AfterGesture = nil
+	step("figures done")
+
+	mustWrite := func(path, data string) {
+		t.Helper()
+		if err := fs.WriteFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle := func(name string, evs []event.Event) {
+		t.Helper()
+		h.HandleAll(evs)
+		step(name)
+	}
+	at := func(w *core.Window, substr string) geom.Point {
+		t.Helper()
+		h.Render()
+		p, ok := h.FindBody(w, substr)
+		if !ok {
+			t.Fatalf("%q not visible in window %d", substr, w.ID)
+		}
+		return p
+	}
+
+	// Typing, Cut/Paste, Undo and scrolling in a window of its own.
+	mustWrite("/tmp/input", "alpha beta gamma\n"+strings.Repeat("filler line\n", 120))
+	in, err := h.OpenFile("/tmp/input", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Reveal(in)
+	step("open input")
+	handle("click", event.Click(event.Left, at(in, "beta")))
+	handle("type", event.Type("typed "))
+	handle("backspace", event.Type("\b\b"))
+	p := at(in, "gamma")
+	handle("sweep", event.Sweep(event.Left, p, p.Add(geom.Pt(5, 0))))
+	handle("type over selection", event.Type("GAMMA"))
+	p = at(in, "alpha")
+	handle("cut chord", event.SweepChord(event.Left, p, p.Add(geom.Pt(6, 0)), event.Middle))
+	handle("paste chord", event.ChordClick(event.Left, at(in, "GAMMA"), event.Right))
+	h.Execute(in, "Undo")
+	step("Undo")
+	h.Execute(in, "Undo")
+	step("Undo again")
+	h.Execute(in, "Redo")
+	step("Redo")
+	tag, ok := h.FindTag(in, "")
+	if !ok {
+		t.Fatal("input tag not visible")
+	}
+	bar := geom.Pt(h.ColumnRect(h.ColumnIndexOf(in)).Min.X+1, tag.Y+4)
+	handle("scroll forward", event.Click(event.Right, bar))
+	handle("scroll back", event.Click(event.Left, bar))
+	handle("scroll jump", event.Click(event.Middle, bar.Add(geom.Pt(0, 3))))
+
+	// Buffer swaps: Put!, Get! after an outside change, Clone!, a
+	// directory open, and a paged open with its own Clone! and Get!.
+	h.Execute(in, "Put!")
+	step("Put!")
+	mustWrite("/tmp/input", "replaced from outside\n")
+	h.Execute(in, "Get!")
+	step("Get!")
+	h.Execute(in, "Clone!")
+	step("Clone!")
+	dirWin, err := h.OpenFile("/tmp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("open directory")
+	h.SetLimits(core.Limits{MaxResident: 4096})
+	mustWrite("/tmp/big", strings.Repeat("a paged line of text\n", 1000))
+	big, err := h.OpenFile("/tmp/big", "300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("open paged")
+	h.Execute(big, "Clone!")
+	step("Clone! paged")
+	mustWrite("/tmp/big", strings.Repeat("a rewritten paged line\n", 900))
+	h.Execute(big, "Get!")
+	step("Get! paged")
+	h.SetLimits(core.Limits{MaxResident: core.DefaultMaxResident})
+
+	// Placement stage three: keep opening windows in the left column
+	// until the heuristic has to hide the windows it covers.
+	left := h.NewWindowIn(0)
+	h.SetCurrent(left, core.SubBody)
+	step("new window in left column")
+	for i := 0; i < 14; i++ {
+		name := fmt.Sprintf("/tmp/place%d", i)
+		mustWrite(name, strings.Repeat(fmt.Sprintf("file %d\n", i), 12))
+		if _, err := h.OpenFile(name, ""); err != nil {
+			t.Fatal(err)
+		}
+		step("place " + name)
+	}
+
+	// The file interface: create a window, then every ctl message, a
+	// body replacement and a bodyapp append.
+	f, err := fs.Open(world.MountRoot+"/new/ctl", vfs.OREAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	n, _ := f.Read(buf)
+	f.Close()
+	dir := world.MountRoot + "/" + strings.TrimSpace(string(buf[:n]))
+	step("new/ctl")
+	for _, m := range []struct{ file, data string }{
+		{"body", "one\ntwo\nthree\nfour\nfive\n"},
+		{"bodyapp", "six\n"},
+		{"ctl", "name /tmp/ctlwin"},
+		{"ctl", "tag /tmp/ctlwin Close! Special"},
+		{"ctl", "dirty"},
+		{"ctl", "clean"},
+		{"ctl", "show 3"},
+		{"ctl", "select 4 8"},
+		{"tag", "/tmp/ctlwin2\tClose!"},
+		{"ctl", "delete"},
+	} {
+		mustWrite(dir+"/"+m.file, m.data)
+		step(m.file + " " + m.data)
+	}
+	// A directory window's tag never shows Put!, so here the clean and
+	// dirty messages change nothing but the modified flag.
+	for _, msg := range []string{"dirty", "clean"} {
+		mustWrite(fmt.Sprintf("%s/%d/ctl", world.MountRoot, dirWin.ID), msg)
+		step("directory ctl " + msg)
+	}
+	if err := fs.WriteFile(world.MountRoot+"/ctl", []byte("open /tmp/place3:2\n")); err != nil {
+		t.Fatal(err)
+	}
+	step("root ctl open")
 }

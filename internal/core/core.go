@@ -29,6 +29,13 @@ const minVisible = 3
 type Column struct {
 	r    geom.Rect // includes the tab strip
 	wins []*Window // ordered by top row; hidden windows keep their slot
+
+	// damaged asks the next render to repaint the column. Everything a
+	// repaint reads is written through a setter that sets it: Window.mark
+	// for the window's own state, removeWindow for the window list,
+	// setCurrent and setSweep for the session's selection owner and exec
+	// sweep. Render clears it.
+	damaged bool
 }
 
 // winRect returns the rectangle available to windows (excluding tabs).
@@ -58,8 +65,8 @@ func (c *Column) visibleSpan(w *Window) int {
 		return 0
 	}
 	bottom := c.r.Max.Y
-	for _, o := range c.displayed() {
-		if o != w && o.top > w.top && o.top < bottom {
+	for _, o := range c.wins {
+		if !o.hidden && o.top > w.top && o.top < bottom {
 			bottom = o.top
 		}
 	}
@@ -143,7 +150,7 @@ type Help struct {
 
 	// current selection ownership: the subwindow "with the most recent
 	// selection or typed text"; its selection paints in reverse video,
-	// all others in outline.
+	// all others in outline. Written only through setCurrent.
 	curWin *Window
 	curSub int
 
@@ -217,6 +224,7 @@ type Help struct {
 	errors *Window // the Errors window, created on demand
 
 	// sweepExec is the live middle-button sweep, painted underlined.
+	// Written only through setSweep.
 	sweepExec *execSweep
 
 	// dirty lists the windows marked since the last drain, each once;
@@ -227,10 +235,10 @@ type Help struct {
 	// tracking a window allocates nothing for it.
 	addMem func(delta int)
 
-	// lastColSigs holds each column's signature from the previous
-	// Render; a column whose signature is unchanged is not repainted.
-	lastColSigs []colSig
-	rendered    bool // a full render has happened at least once
+	// rendered reports that the screen holds a full paint, from which
+	// only the damaged columns have drifted; while it is false the next
+	// render repaints everything (the first render, a column resize).
+	rendered bool
 
 	// OnWindowCreated and OnWindowClosed notify observers (the helpfs
 	// file service) when windows come and go.
@@ -376,7 +384,15 @@ func (h *Help) SetCurrent(w *Window, sub int) {
 	h.setCurrent(w, sub)
 }
 
+// setCurrent is the one writer of the selection owner. Ownership picks
+// reverse video over outline, so a change repaints the columns of the
+// old and the new owner.
 func (h *Help) setCurrent(w *Window, sub int) {
+	if h.curWin == w && h.curSub == sub {
+		return
+	}
+	h.curWin.damage()
+	w.damage()
 	h.curWin, h.curSub = w, sub
 }
 
@@ -587,6 +603,7 @@ func (h *Help) moveWindowToColumn(w *Window, ci int) {
 func (c *Column) removeWindow(w *Window) {
 	for i, o := range c.wins {
 		if o == w {
+			c.damaged = true
 			// Clear the vacated last slot: the backing array outlives
 			// the shortened slice, and a stale pointer there would keep
 			// a closed window and its buffers alive.
@@ -614,7 +631,7 @@ func (h *Help) closeWindow(w *Window) {
 	h.mWindows.Add(-1)
 	h.untrackWindow(w)
 	if h.curWin == w {
-		h.curWin = nil
+		h.setCurrent(nil, 0)
 	}
 	if h.errors == w {
 		h.errors = nil
@@ -646,8 +663,19 @@ func (h *Help) expandColumn(ci int) {
 	if ci == 0 {
 		split = 2 * w / 3
 	}
-	h.cols[0].r.Max.X = split
-	h.cols[1].r.Min.X = split
+	h.setSplit(split)
+}
+
+// setSplit moves the boundary between the two columns to x. Both
+// columns change shape, and so does the tab row above them, so the next
+// render repaints the whole screen.
+func (h *Help) setSplit(x int) {
+	if h.cols[0].r.Max.X == x {
+		return
+	}
+	h.cols[0].r.Max.X = x
+	h.cols[1].r.Min.X = x
+	h.rendered = false
 }
 
 // execSweep is an in-progress middle-button sweep.

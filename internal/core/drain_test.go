@@ -153,11 +153,14 @@ func TestClosedWindowCollected(t *testing.T) {
 }
 
 // The drain sees a change only if the code that made it marked the
-// window, so the fields it shadows are written through the setters in
-// window.go and nowhere else in the package.
+// window, and a render repaints only the columns that were damaged, so
+// the fields the drain shadows and the session state a repaint reads
+// are written through their setters and nowhere else in the package.
 func TestTrackedFieldsUseSetters(t *testing.T) {
-	tracked := map[string]bool{"Sel": true, "q": true, "top": true, "hidden": true, "col": true, "bodyOrg": true}
-	setters := map[string]bool{"setSel": true, "setOrg": true, "setTop": true, "setHidden": true, "setCol": true}
+	tracked := map[string]bool{"Sel": true, "q": true, "top": true, "hidden": true, "col": true, "bodyOrg": true,
+		"curWin": true, "curSub": true, "sweepExec": true}
+	setters := map[string]bool{"setSel": true, "setOrg": true, "setTop": true, "setHidden": true, "setCol": true,
+		"setCurrent": true, "setSweep": true}
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -174,7 +177,7 @@ func TestTrackedFieldsUseSetters(t *testing.T) {
 	if _, err := conf.Check("repro/internal/core", fset, files, info); err != nil {
 		t.Fatal(err)
 	}
-	owners := map[string]bool{"Window": true, "Selections": true}
+	owners := map[string]bool{"Window": true, "Selections": true, "Help": true}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)

@@ -37,3 +37,21 @@ func AuditShadows(h *Help) error {
 	}
 	return nil
 }
+
+// AuditRender is the oracle for missed damage. Called with the actor
+// lock held, it renders incrementally, then forces a full repaint, and
+// reports the first difference between the two screens: a mutation
+// that changed what a repaint reads without damaging its column.
+func AuditRender(h *Help) error {
+	h.render()
+	text, attrs := h.screen.String(), h.screen.AttrString()
+	h.rendered = false
+	h.render()
+	if got := h.screen.String(); got != text {
+		return fmt.Errorf("incremental render diverged from full render:\nincremental:\n%s\nfull:\n%s", text, got)
+	}
+	if got := h.screen.AttrString(); got != attrs {
+		return fmt.Errorf("incremental render attrs diverged from full render:\nincremental:\n%s\nfull:\n%s", attrs, got)
+	}
+	return nil
+}

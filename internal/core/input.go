@@ -39,7 +39,7 @@ func (h *Help) handle(e event.Event) {
 	h.mPresses.Store(int64(h.machine.Presses))
 	h.mTravel.Store(int64(h.machine.Travel))
 	if done {
-		h.sweepExec = nil
+		h.setSweep(nil)
 		h.dispatch(g)
 		return
 	}
@@ -52,18 +52,18 @@ func (h *Help) handle(e event.Event) {
 func (h *Help) trackExecSweep() {
 	g, ok := h.machine.Current()
 	if !ok || g.Button != event.Middle {
-		h.sweepExec = nil
+		h.setSweep(nil)
 		return
 	}
 	h.render() // frames must be current to translate the sweep
 	ht := h.hitTest(g.Start)
 	if ht.kind != hitWindow {
-		h.sweepExec = nil
+		h.setSweep(nil)
 		return
 	}
 	f := ht.win.frameFor(ht.sub)
 	if f == nil {
-		h.sweepExec = nil
+		h.setSweep(nil)
 		return
 	}
 	q0 := f.OffsetOf(g.Start)
@@ -71,7 +71,24 @@ func (h *Help) trackExecSweep() {
 	if q1 < q0 {
 		q0, q1 = q1, q0
 	}
-	h.sweepExec = &execSweep{win: ht.win, sub: ht.sub, q0: q0, q1: q1}
+	h.setSweep(&execSweep{win: ht.win, sub: ht.sub, q0: q0, q1: q1})
+}
+
+// setSweep is the one writer of the live exec sweep. A change repaints
+// the columns of the old and the new sweep, so an underline never
+// outlives its sweep.
+func (h *Help) setSweep(sw *execSweep) {
+	old := h.sweepExec
+	if old == sw || old != nil && sw != nil && *old == *sw {
+		return
+	}
+	if old != nil {
+		old.win.damage()
+	}
+	if sw != nil {
+		sw.win.damage()
+	}
+	h.sweepExec = sw
 }
 
 // HandleAll feeds a batch of events.

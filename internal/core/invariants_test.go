@@ -20,9 +20,14 @@ import (
 //   - every displayed window's span is positive and tops lie in the
 //     column rectangle,
 //   - the rendered screen never panics and has the right dimensions.
+//
+// It holds the actor lock throughout: commands launched by the storm
+// still stream output into Errors through the apply queue.
 func checkInvariants(t *testing.T, h *Help) {
 	t.Helper()
-	for _, w := range h.Windows() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, w := range h.windows() {
 		for sub := 0; sub < 2; sub++ {
 			sel := w.Sel.Of(sub)
 			n := w.Buffer(sub).Len()
@@ -31,8 +36,7 @@ func checkInvariants(t *testing.T, h *Help) {
 			}
 		}
 	}
-	for ci := 0; ci < h.Columns(); ci++ {
-		col := h.cols[ci]
+	for ci, col := range h.cols {
 		prev := -1
 		for _, w := range col.displayed() {
 			if w.top <= prev {
@@ -47,8 +51,8 @@ func checkInvariants(t *testing.T, h *Help) {
 			}
 		}
 	}
-	h.Render()
-	sw, sh := h.Screen().Size()
+	h.render()
+	sw, sh := h.screen.Size()
 	if sw <= 0 || sh <= 0 {
 		t.Fatal("degenerate screen")
 	}

@@ -571,8 +571,7 @@ func restoreSnapshot(h *Help, snap *snapshot) error {
 		h.closeWindow(w)
 	}
 	if len(h.cols) == 2 && snap.split > 0 {
-		h.cols[0].r.Max.X = snap.split
-		h.cols[1].r.Min.X = snap.split
+		h.setSplit(snap.split)
 	}
 	if err := h.FS.RestoreDump(snap.files, snap.binds); err != nil {
 		return err
@@ -597,9 +596,9 @@ func restoreSnapshot(h *Help, snap *snapshot) error {
 	if snap.nextID > h.nextID {
 		h.nextID = snap.nextID
 	}
-	h.curWin, h.curSub = nil, 0
+	h.setCurrent(nil, 0)
 	if cw := h.byID[snap.curWin]; cw != nil {
-		h.curWin, h.curSub = cw, snap.curSub
+		h.setCurrent(cw, snap.curSub)
 	}
 	h.snarf = snap.snarf
 	h.errors = h.byID[snap.errorsID]
@@ -706,14 +705,14 @@ func applyOp(h *Help, op *journal.Op) error {
 		w.SetSelection(op.Sub, op.P0, op.P1)
 	case journal.OpCurrent:
 		if op.Win == 0 {
-			h.curWin, h.curSub = nil, 0
+			h.setCurrent(nil, 0)
 			return nil
 		}
 		w, err := needWin()
 		if err != nil {
 			return err
 		}
-		h.curWin, h.curSub = w, op.Sub
+		h.setCurrent(w, op.Sub)
 	case journal.OpSnarf:
 		h.snarf = op.Str1
 	case journal.OpNewWin:
@@ -742,8 +741,7 @@ func applyOp(h *Help, op *journal.Op) error {
 		w.setOrg(clampOrg(op.P0, w.Body.Len()))
 	case journal.OpColSplit:
 		if len(h.cols) == 2 && op.P0 > 0 && op.P0 < h.screen.Bounds().Dx() {
-			h.cols[0].r.Max.X = op.P0
-			h.cols[1].r.Min.X = op.P0
+			h.setSplit(op.P0)
 		}
 	case journal.OpErrors:
 		if op.Win == 0 {

@@ -7,87 +7,17 @@ import (
 	"repro/internal/draw"
 	"repro/internal/frame"
 	"repro/internal/geom"
-	"repro/internal/text"
 )
-
-// winSig captures everything renderWindow reads for one window. Two equal
-// signatures guarantee the window would paint identically, so comparing
-// them is a sound damage check.
-type winSig struct {
-	id        int
-	top       int
-	span      int
-	tag, body *text.Buffer // buffers can be swapped wholesale (OpenFile)
-	tagGen    uint64
-	bodyGen   uint64
-	bodyOrg   int
-	selTag    Selection
-	selBody   Selection
-	cur       int // current subwindow if this window owns the selection, else -1
-	sweep     Selection
-	sweepSub  int // subwindow of a live exec sweep in this window, else -1
-}
-
-// colSig is one column's damage signature: its rectangle, tab tower, and
-// the signatures of its displayed windows in paint order.
-type colSig struct {
-	r     geom.Rect
-	nWins int
-	wins  []winSig
-}
-
-func (a colSig) equal(b colSig) bool {
-	if a.r != b.r || a.nWins != b.nWins || len(a.wins) != len(b.wins) {
-		return false
-	}
-	for i := range a.wins {
-		if a.wins[i] != b.wins[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// colSignature computes col's current signature.
-func (h *Help) colSignature(col *Column) colSig {
-	sig := colSig{r: col.r, nWins: len(col.wins)}
-	for _, w := range col.displayed() {
-		ws := winSig{
-			id:       w.ID,
-			top:      w.top,
-			span:     col.visibleSpan(w),
-			tag:      w.Tag,
-			body:     w.Body,
-			tagGen:   w.Tag.Gen(),
-			bodyGen:  w.Body.Gen(),
-			bodyOrg:  w.bodyOrg,
-			selTag:   w.Sel.q[SubTag],
-			selBody:  w.Sel.q[SubBody],
-			cur:      -1,
-			sweepSub: -1,
-		}
-		if h.curWin == w {
-			ws.cur = h.curSub
-		}
-		if sw := h.sweepExec; sw != nil && sw.win == w {
-			ws.sweep = Selection{sw.q0, sw.q1}
-			ws.sweepSub = sw.sub
-		}
-		sig.wins = append(sig.wins, ws)
-	}
-	return sig
-}
 
 // Render paints the whole screen: the column tab row, each column's tab
 // tower, and every displayed window (tag line, scroll bar, body). The
 // current selection paints in reverse video; selections in other
 // subwindows paint in outline, as the paper specifies.
 //
-// Rendering is incremental: each column's signature (geometry, window
-// list, buffer generations, origins, selections, sweep state) is compared
-// against the previous render, and only columns whose signature changed
-// are repainted. A column layout change (resize, first render) forces a
-// full repaint so the tab row and any vacated cells are refreshed.
+// Rendering is incremental: only the columns a mutation damaged since
+// the last render are repainted (see Column.damaged). A column layout
+// change (resize, first render) forces a full repaint so the tab row and
+// any vacated cells are refreshed.
 func (h *Help) Render() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -100,20 +30,7 @@ func (h *Help) render() {
 	if timed {
 		t0 = time.Now()
 	}
-	sigs := make([]colSig, len(h.cols))
-	for i, col := range h.cols {
-		sigs[i] = h.colSignature(col)
-	}
-	full := !h.rendered || len(sigs) != len(h.lastColSigs)
-	if !full {
-		for i := range sigs {
-			if sigs[i].r != h.lastColSigs[i].r {
-				full = true
-				break
-			}
-		}
-	}
-	if full {
+	if !h.rendered {
 		h.screen.Clear()
 		h.renderColumnTabRow()
 		for _, col := range h.cols {
@@ -128,8 +45,8 @@ func (h *Help) render() {
 		}
 	} else {
 		repainted, cells := 0, 0
-		for i, col := range h.cols {
-			if sigs[i].equal(h.lastColSigs[i]) {
+		for _, col := range h.cols {
+			if !col.damaged {
 				continue
 			}
 			repainted++
@@ -152,7 +69,11 @@ func (h *Help) render() {
 			h.ins.colsReused.Add(int64(len(h.cols) - repainted))
 		}
 	}
-	h.lastColSigs = sigs
+	// A repaint can damage what it paints (renderWindow clamps a stale
+	// origin), so the flags are cleared only once everything is painted.
+	for _, col := range h.cols {
+		col.damaged = false
+	}
 	h.rendered = true
 	if h.ins.on {
 		h.ins.renders.Inc()

@@ -79,26 +79,20 @@ func TestScrollBarNeverLongerThanGutter(t *testing.T) {
 
 // assertIncrementalRender renders incrementally, then forces a full
 // repaint and checks both produce the identical screen — the soundness
-// property of the per-column damage signatures.
+// property of the per-column damage flags.
 func assertIncrementalRender(t *testing.T, h *Help) {
 	t.Helper()
-	h.Render()
-	text, attrs := h.screen.String(), h.screen.AttrString()
-	h.rendered = false // invalidate the cache: next Render repaints fully
-	h.Render()
-	if h.screen.String() != text {
-		t.Fatalf("incremental render diverged from full render:\nincremental:\n%s\nfull:\n%s",
-			text, h.screen.String())
-	}
-	if h.screen.AttrString() != attrs {
-		t.Fatalf("incremental render attrs diverged from full render:\nincremental:\n%s\nfull:\n%s",
-			attrs, h.screen.AttrString())
+	h.mu.Lock()
+	err := AuditRender(h)
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestRenderIncrementalEquivalence walks a window through every kind of
-// state change the damage signature must notice, comparing the
-// incremental repaint against a forced full repaint at each step.
+// state change that must damage its column, comparing the incremental
+// repaint against a forced full repaint at each step.
 func TestRenderIncrementalEquivalence(t *testing.T) {
 	h, _ := world(t)
 	assertIncrementalRender(t, h)
@@ -126,10 +120,10 @@ func TestRenderIncrementalEquivalence(t *testing.T) {
 	w.Scroll(2)
 	assertIncrementalRender(t, h) // scroll changes origin only
 
-	h.sweepExec = &execSweep{win: w2, sub: SubTag, q0: 0, q1: 3}
+	h.setSweep(&execSweep{win: w2, sub: SubTag, q0: 0, q1: 3})
 	assertIncrementalRender(t, h) // live exec sweep underlines
 
-	h.sweepExec = nil
+	h.setSweep(nil)
 	assertIncrementalRender(t, h) // sweep ended: underline must vanish
 
 	h.MoveWindowToColumn(w2, 1)
@@ -146,6 +140,55 @@ func TestRenderIncrementalEquivalence(t *testing.T) {
 
 	h.Errors() // creates the Errors window
 	h.AppendErrors("something happened\n")
+	assertIncrementalRender(t, h)
+}
+
+// TestRenderDamageSources changes one thing per step, so that each
+// source of column damage has a step that fails without it.
+func TestRenderDamageSources(t *testing.T) {
+	h, fs := world(t)
+	open := func(name string, ci int) *Window {
+		t.Helper()
+		path := "/usr/rob/src/help/" + name
+		if err := fs.WriteFile(path, []byte("/* "+name+" */\nint x;\n")); err != nil {
+			t.Fatal(err)
+		}
+		w, err := h.OpenFile(path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.MoveWindowToColumn(w, ci)
+		return w
+	}
+	a, b := open("a.c", 0), open("b.c", 1)
+	a.SetSelection(SubBody, 0, 8)
+	b.SetSelection(SubBody, 0, 8)
+	b.SetSelection(SubTag, 0, 4)
+	h.SetCurrent(a, SubBody)
+	assertIncrementalRender(t, h)
+
+	// setCurrent damages the old owner's column and the new one's.
+	h.SetCurrent(b, SubBody)
+	assertIncrementalRender(t, h) // owner moved to another column
+	h.SetCurrent(b, SubTag)
+	assertIncrementalRender(t, h) // owner moved to the same window's tag
+
+	// removeWindow damages the column a window leaves.
+	c := open("c.c", 0)
+	d := open("d.c", 1)
+	h.SetCurrent(nil, 0)
+	assertIncrementalRender(t, h)
+	h.CloseWindow(c)
+	assertIncrementalRender(t, h) // closed; nothing else in its column changes
+	h.MoveWindowToColumn(d, 0)
+	assertIncrementalRender(t, h) // moved out of its column
+
+	// mark damages on every call, not once per drain: a window edited,
+	// rendered and edited again inside one interaction is already in the
+	// dirty set at its second edit.
+	a.Body.Insert(0, "first\n")
+	h.Render()
+	a.Body.Insert(0, "second\n")
 	assertIncrementalRender(t, h)
 }
 

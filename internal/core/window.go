@@ -44,7 +44,8 @@ type Window struct {
 	//
 	// Sel, top, hidden, col and bodyOrg are written only through the
 	// setters below, which mark the window for the next drain (see
-	// drain.go); TestTrackedFieldsUseSetters enforces it.
+	// drain.go) and damage its column for the next render;
+	// TestTrackedFieldsUseSetters enforces it.
 	top    int
 	hidden bool
 	col    *Column
@@ -96,15 +97,27 @@ func newWindow(id int) *Window {
 	}
 }
 
-// mark puts w in its session's dirty set, once per drain. Every
-// mutation of state the journal or the notify stream reports calls it:
-// the buffers' splice hook, the setters below, and SetModified.
+// mark puts w in its session's dirty set, once per drain, and damages
+// its column. Every mutation of state the journal, the notify stream or
+// a repaint reads calls it: the buffers' splice hook, the setters below,
+// and SetModified. The damage comes before the once-per-drain return:
+// renders run inside an interaction, so a window already in the set can
+// be edited again after one.
 func (w *Window) mark() {
+	w.damage()
 	if w.dirty || w.h == nil {
 		return
 	}
 	w.dirty = true
 	w.h.dirty = append(w.h.dirty, w)
+}
+
+// damage asks the next render to repaint w's column; a nil window, or
+// one not yet in a column, has nothing to repaint.
+func (w *Window) damage() {
+	if w != nil && w.col != nil {
+		w.col.damaged = true
+	}
 }
 
 func (w *Window) setSel(sub int, s Selection) {

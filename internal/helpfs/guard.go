@@ -30,18 +30,18 @@ var guardFilePool = sync.Pool{New: func() any { return new(guardFile) }}
 
 // Gen forwards the inner device's edit generation (vfs.GenDevice), so
 // guarding a device does not hide its generation from srvnet's cache
-// plumbing. A panic while computing it degrades to "no generation"
-// rather than taking down the reader.
-func (g guardDevice) Gen() (gen uint64) {
+// plumbing. A panic while computing it is counted and reported like any
+// other, and degrades to "no generation" rather than taking down the
+// reader; the error guard builds has no caller to go to. vfs reads a
+// generation only inside one of its own operations, under the same lock
+// as a read of the file, so guard may report directly.
+func (g guardDevice) Gen() uint64 {
 	gd, ok := g.dev.(vfs.GenDevice)
 	if !ok {
 		return 0
 	}
-	defer func() {
-		if recover() != nil {
-			gen = 0
-		}
-	}()
+	var err error
+	defer g.s.guard("gen", g.name, &err)
 	return gd.Gen()
 }
 

@@ -13,6 +13,14 @@ type panicDevice struct {
 	onRead  bool
 	onWrite bool
 	onClose bool
+	onGen   bool
+}
+
+func (d panicDevice) Gen() uint64 {
+	if d.onGen {
+		panic("device gen bug")
+	}
+	return 0
 }
 
 func (d panicDevice) OpenDevice(mode int) (vfs.DeviceFile, error) {
@@ -46,8 +54,9 @@ func (f panicFile) Close() error {
 }
 
 // Every stage of a buggy device — open, read, write, close — must come
-// back to the client as an error, never a crash, and each recovery is
-// counted and reported in the Errors window.
+// back to the client as an error, never a crash, and a stat whose
+// generation panics reports no generation. Each recovery is counted and
+// reported in the Errors window.
 func TestGuardConvertsPanics(t *testing.T) {
 	h, fs, s := attach(t)
 
@@ -61,6 +70,7 @@ func TestGuardConvertsPanics(t *testing.T) {
 	register("boom-read", panicDevice{onRead: true})
 	register("boom-write", panicDevice{onWrite: true})
 	register("boom-close", panicDevice{onClose: true})
+	register("boom-gen", panicDevice{onGen: true})
 
 	if _, err := fs.Open("/mnt/help/boom-open", vfs.OREAD); err == nil {
 		t.Fatal("open panic not converted to an error")
@@ -92,11 +102,19 @@ func TestGuardConvertsPanics(t *testing.T) {
 		t.Fatal("close panic not converted to an error")
 	}
 
-	if n := h.PanicCount(); n != 4 {
-		t.Fatalf("PanicCount = %d, want 4", n)
+	info, err := fs.Stat("/mnt/help/boom-gen")
+	if err != nil {
+		t.Fatalf("gen panic failed the stat: %v", err)
+	}
+	if info.Gen != 0 {
+		t.Fatalf("gen after a panic = %d, want 0", info.Gen)
+	}
+
+	if n := h.PanicCount(); n != 5 {
+		t.Fatalf("PanicCount = %d, want 5", n)
 	}
 	errs := h.Errors().Body.String()
-	for _, msg := range []string{"device open bug", "device read bug", "device write bug", "device close bug"} {
+	for _, msg := range []string{"device open bug", "device read bug", "device write bug", "device close bug", "device gen bug"} {
 		if !strings.Contains(errs, msg) {
 			t.Fatalf("Errors window missing %q:\n%s", msg, errs)
 		}
