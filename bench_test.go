@@ -443,12 +443,11 @@ func BenchmarkSrvnetRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkWireThroughput measures remote read throughput in the three
-// regimes of the PR 7 wire path over TCP loopback: serial (one round
-// trip per op, the old protocol's ceiling), pipelined (batches of reads
-// in flight at once, matched by sequence number), and cached
-// (generation-keyed hits that never touch the wire). The acceptance bar
-// is pipelined ≥ 5x serial ops/sec.
+// BenchmarkWireThroughput measures remote read throughput in the two
+// regimes of the wire path over TCP loopback: serial (one round trip
+// per op) and pipelined (batches of reads in flight at once, matched by
+// sequence number). The acceptance bar is pipelined ≥ 5x serial
+// ops/sec.
 func BenchmarkWireThroughput(b *testing.B) {
 	setup := func(b *testing.B) *srvnet.Client {
 		b.Helper()
@@ -506,20 +505,6 @@ func BenchmarkWireThroughput(b *testing.B) {
 				}
 			}
 			done += n
-		}
-	})
-
-	b.Run("cached", func(b *testing.B) {
-		c := setup(b)
-		c.SetCache(true)
-		if _, err := c.ReadFile("/d/f"); err != nil { // prime
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.ReadFile("/d/f"); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -906,73 +891,6 @@ func BenchmarkEventFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bus.Publish(1, "body", "gen 1")
 	}
-}
-
-// BenchmarkPushInvalidatedRead measures the PR 8 cache regime: reads
-// served from the generation-keyed cache while a push-invalidation
-// stream keeps it honest. cached-hit is the steady state (zero wire
-// traffic); invalidate-cycle is the full loop — a remote write, the
-// pushed invalidation, and the first fresh read — i.e. how stale a
-// push-invalidated cache can ever be.
-func BenchmarkPushInvalidatedRead(b *testing.B) {
-	w, err := world.Build(100, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	win := w.Help.NewWindow()
-	win.Body.SetString("v0")
-	body := world.MountRoot + "/1/body"
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	go srvnet.NewServer(w.FS).Serve(l)
-	reader, err := srvnet.Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer reader.Close()
-	reader.SetCache(true)
-	stop := reader.StartPushInval(world.MountRoot)
-	defer stop()
-	writer, err := srvnet.Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer writer.Close()
-
-	b.Run("cached-hit", func(b *testing.B) {
-		if _, err := reader.ReadFile(body); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := reader.ReadFile(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("invalidate-cycle", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			payload := []byte(fmt.Sprintf("v%d", i+1))
-			if err := writer.WriteFile(body, payload); err != nil {
-				b.Fatal(err)
-			}
-			for {
-				data, err := reader.ReadFile(body)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if bytes.Equal(data, payload) {
-					break
-				}
-			}
-		}
-	})
 }
 
 // ---- PR 10: gigabyte-class bodies behind the same Buffer API ----

@@ -185,9 +185,8 @@ func main() {
 	r := repl.New(w.Help, os.Stdout)
 	if *remote != "" {
 		// The paper's invisible call to the CPU server: a fault-tolerant,
-		// cached, pipelined connection to another machine's namespace.
+		// pipelined connection to another machine's namespace.
 		rc := srvnet.NewReconnectingClient(*remote)
-		rc.CacheReads = true
 		rc.Obs = w.Help.Obs
 		defer rc.Close()
 		r.Remote = rc

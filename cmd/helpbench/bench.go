@@ -4,7 +4,9 @@
 //	go test -bench=. -benchmem ./... | helpbench -benchjson - -baseline BENCH_BASELINE.json -o BENCH_PR2.json
 //
 // Exits nonzero when any benchmark present in both runs regressed more
-// than 20% on ns/op or allocs/op.
+// than 20% on ns/op or allocs/op. A baseline benchmark missing from the
+// current run is listed on stderr as "dropped: <name>" and does not
+// fail the gate.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -100,8 +103,15 @@ func loadBaseline(path string) (map[string]benchEntry, error) {
 }
 
 // compare annotates cur with baseline numbers and returns the names that
-// regressed beyond the slack on ns/op or allocs/op.
-func compare(cur, base map[string]benchEntry) (regressed []string) {
+// regressed beyond the slack on ns/op or allocs/op, and the sorted
+// names of baseline benchmarks absent from cur.
+func compare(cur, base map[string]benchEntry) (regressed, dropped []string) {
+	for name := range base {
+		if _, ok := cur[name]; !ok {
+			dropped = append(dropped, name)
+		}
+	}
+	sort.Strings(dropped)
 	for name, c := range cur {
 		b, ok := base[name]
 		if !ok {
@@ -127,7 +137,7 @@ func compare(cur, base map[string]benchEntry) (regressed []string) {
 					name, c.AllocsPerOp, b.AllocsPerOp, 100*(c.AllocsPerOp/b.AllocsPerOp-1)))
 		}
 	}
-	return regressed
+	return regressed, dropped
 }
 
 // runBenchMode is the entry point for -benchjson. It reads bench text
@@ -158,7 +168,11 @@ func runBenchMode(inPath, baselinePath, outPath string) {
 			fmt.Fprintf(os.Stderr, "helpbench: %v\n", err)
 			os.Exit(1)
 		}
-		regressed = compare(cur, base)
+		var dropped []string
+		regressed, dropped = compare(cur, base)
+		for _, name := range dropped {
+			fmt.Fprintf(os.Stderr, "dropped: %s\n", name)
+		}
 	}
 
 	data, err := json.MarshalIndent(cur, "", "  ")

@@ -42,11 +42,32 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10},
 		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 10},
 	}
-	regressed := compare(cur, base)
+	regressed, _ := compare(cur, base)
 	if len(regressed) != 1 || !strings.Contains(regressed[0], "BenchmarkB") {
 		t.Errorf("regressed = %v, want only BenchmarkB", regressed)
 	}
 	if cur["BenchmarkA"].NsRatio != 1 {
 		t.Errorf("NsRatio = %v", cur["BenchmarkA"].NsRatio)
+	}
+}
+
+func TestCompareListsDropped(t *testing.T) {
+	cur := map[string]benchEntry{
+		"BenchmarkA": {NsPerOp: 1000},
+	}
+	base := map[string]benchEntry{
+		"BenchmarkA":        {NsPerOp: 1000},
+		"BenchmarkZ/cached": {NsPerOp: 10},
+		"BenchmarkB":        {NsPerOp: 500},
+	}
+	regressed, dropped := compare(cur, base)
+	if len(regressed) != 0 {
+		t.Errorf("regressed = %v, want none: a dropped benchmark does not fail the gate", regressed)
+	}
+	if want := []string{"BenchmarkB", "BenchmarkZ/cached"}; strings.Join(dropped, ",") != strings.Join(want, ",") {
+		t.Errorf("dropped = %v, want %v", dropped, want)
+	}
+	if _, ok := cur["BenchmarkB"]; ok {
+		t.Error("a dropped benchmark was added to the current run")
 	}
 }

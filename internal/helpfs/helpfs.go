@@ -248,8 +248,9 @@ type bufDevice struct {
 // pristine buffer (text.Buffer.Gen 0) is still distinguishable from
 // vfs's "no generation" zero. It is called under the actor lock, like
 // every device operation, so the gen and the contents a concurrent read
-// observes are coherent. This is what lets srvnet clients cache body
-// and tag reads: an unchanged generation proves unchanged contents.
+// observes are coherent. An unchanged generation proves unchanged
+// contents, which is what lets the srvnet readahead slot serve later
+// chunks of a body from the snapshot its first chunk took.
 func (d *bufDevice) Gen() uint64 {
 	w := d.s.h.View().Window(d.id)
 	if w == nil {

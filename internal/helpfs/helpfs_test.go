@@ -470,8 +470,8 @@ func TestRootCtlOpen(t *testing.T) {
 }
 
 // Window buffers carry edit generations through the namespace: a body
-// edit must move the generation that Stat reports, since srvnet's
-// client cache revalidates against it.
+// edit must move the generation that Stat reports, since core's reload
+// check and srvnet's readahead slot validate against it.
 func TestBodyGenMovesOnEdit(t *testing.T) {
 	_, fs, _ := attach(t)
 	f, err := fs.Open("/mnt/help/new/ctl", vfs.OREAD)

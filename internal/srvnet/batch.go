@@ -28,8 +28,7 @@ type Batch struct {
 type Future struct {
 	b    *Batch
 	op   op
-	path string
-	call *pendingCall // nil when resolved locally (cache hit) or failed at queue time
+	call *pendingCall // nil when the request failed at queue time
 	resp response
 	err  error
 	done bool
@@ -40,7 +39,7 @@ func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
 // queue registers and encodes one request without flushing.
 func (b *Batch) queue(req request) *Future {
-	f := &Future{b: b, op: req.Op, path: req.Path}
+	f := &Future{b: b, op: req.Op}
 	call, err := b.c.start(&req, false)
 	if err != nil {
 		f.err, f.done = err, true
@@ -54,16 +53,8 @@ func (b *Batch) queue(req request) *Future {
 	return f
 }
 
-// ReadFile queues a read. A cache hit resolves the Future locally with
-// zero wire traffic.
+// ReadFile queues a read.
 func (b *Batch) ReadFile(path string) *Future {
-	if b.c.cacheEnabled() {
-		if data, ok := b.c.cacheGet(path); ok {
-			b.c.Obs.Counter("srvnet.cache.hit").Inc()
-			return &Future{op: opRead, path: path, resp: response{Data: data}, done: true}
-		}
-		b.c.Obs.Counter("srvnet.cache.miss").Inc()
-	}
 	return b.queue(request{Op: opRead, Path: path})
 }
 
@@ -72,15 +63,13 @@ func (b *Batch) Stat(path string) *Future {
 	return b.queue(request{Op: opStat, Path: path})
 }
 
-// WriteFile queues a write, invalidating the path's cached entry.
+// WriteFile queues a write.
 func (b *Batch) WriteFile(path string, data []byte) *Future {
-	b.c.cacheInvalidate(path)
 	return b.queue(request{Op: opWrite, Path: path, Data: data})
 }
 
-// AppendFile queues an append, invalidating the path's cached entry.
+// AppendFile queues an append.
 func (b *Batch) AppendFile(path string, data []byte) *Future {
-	b.c.cacheInvalidate(path)
 	return b.queue(request{Op: opWrite, Path: path, Data: data, Append: true})
 }
 
@@ -117,9 +106,6 @@ func (f *Future) resolve() {
 		}
 	}
 	f.resp, f.err = f.b.c.wait(f.op.String(), f.call)
-	if f.err == nil && f.op == opRead {
-		f.b.c.cachePut(f.path, f.resp.Gen, f.resp.Data)
-	}
 }
 
 // Err waits for the operation and returns its error; the accessor for
@@ -140,9 +126,6 @@ func (f *Future) Info() (vfs.Info, error) {
 	f.resolve()
 	if f.err != nil {
 		return vfs.Info{}, f.err
-	}
-	if f.b != nil && f.b.c.cacheEnabled() {
-		f.b.c.cacheNote(f.path, f.resp.Gen)
 	}
 	return statInfo(f.resp)
 }

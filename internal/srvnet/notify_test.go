@@ -2,6 +2,7 @@ package srvnet
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -10,15 +11,13 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/notify"
-	"repro/internal/obs"
 	"repro/internal/vfs"
 	"repro/internal/world"
 )
 
 // The readwait surface: a remote subscriber parks on an event stream
 // with zero polling traffic, resumes from its last seq across faults
-// and redials, and feeds the client cache's push invalidation. Run
-// under -race via `make test`.
+// and redials. Run under -race via `make test`.
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -125,52 +124,64 @@ func TestReadWaitDeliversEventWithoutPolling(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestPushInvalidationSkipsStat is the cache acceptance test: after a
-// remote edit, the push-invalidated client serves the next read fresh
-// off the wire without ever issuing a Stat revalidation.
-func TestPushInvalidationSkipsStat(t *testing.T) {
+// TestRemoteReadsSeeEveryWrite pins read freshness on the wire. In
+// /mnt/help writing one file changes another — bodyapp appends to body,
+// a ctl rename changes tag — so a remote read must return what the
+// server holds when it serves the read, whoever wrote it and through
+// whichever file. Client A is built as help -remote builds it.
+func TestRemoteReadsSeeEveryWrite(t *testing.T) {
 	w, err := world.Build(100, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	win := w.Help.NewWindow()
 	win.Body.SetString("v1")
-	body := world.MountRoot + "/1/body"
+	dir := fmt.Sprintf("%s/%d", world.MountRoot, win.ID)
 
-	reader, _ := serve(t, w.FS)
-	reg := obs.New()
-	reader.Obs = reg
-	reader.SetCache(true)
-	stop := reader.StartPushInval(world.MountRoot)
-	defer stop()
-	// Let the invalidation stream park before anything changes.
-	time.Sleep(50 * time.Millisecond)
-
-	// Warm the cache: miss, then hit.
-	if data, err := reader.ReadFile(body); err != nil || string(data) != "v1" {
-		t.Fatalf("first read = %q err=%v", data, err)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if data, err := reader.ReadFile(body); err != nil || string(data) != "v1" {
-		t.Fatalf("cached read = %q err=%v", data, err)
+	defer l.Close()
+	srv := NewServer(w.FS)
+	go srv.Serve(l)
+	defer srv.Shutdown(shutdownCtx(t))
+	a := NewReconnectingClient(l.Addr().String())
+	defer a.Close()
+	b, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A second machine edits the window through the file interface.
-	writer, _ := serve(t, w.FS)
-	if err := writer.WriteFile(body, []byte("v2")); err != nil {
+	defer b.Close()
+	if data, err := a.ReadFile(dir + "/body"); err != nil || string(data) != "v1" {
+		t.Fatalf("first body read = %q err=%v, want v1", data, err)
+	}
+	if _, err := a.ReadFile(dir + "/tag"); err != nil {
 		t.Fatal(err)
 	}
 
-	// The invalidation is pushed, not pulled: the counter moves with no
-	// read traffic from this client.
-	waitFor(t, "push invalidation", func() bool {
-		return reg.Counter("srvnet.cache.pushinval").Load() > 0
-	})
-	data, err := reader.ReadFile(body)
-	if err != nil || string(data) != "v2" {
-		t.Fatalf("read after push invalidation = %q err=%v, want fresh v2", data, err)
+	// Another client replaces the body.
+	if err := b.WriteFile(dir+"/body", []byte("v2")); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.Histogram("srvnet.stat").Count(); n != 0 {
-		t.Errorf("client issued %d Stat round trips, want 0", n)
+	if data, err := a.ReadFile(dir + "/body"); err != nil || string(data) != "v2" {
+		t.Errorf("body after another client's write = %q err=%v, want v2", data, err)
+	}
+
+	// A's own append lands in body through a different file.
+	if err := a.AppendFile(dir+"/bodyapp", []byte(" more")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := a.ReadFile(dir + "/body"); err != nil || string(data) != "v2 more" {
+		t.Errorf("body after bodyapp append = %q err=%v, want %q", data, err, "v2 more")
+	}
+
+	// A's rename through ctl changes what tag shows.
+	if err := a.WriteFile(dir+"/ctl", []byte("name /tmp/renamed\n")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := a.ReadFile(dir + "/tag"); err != nil || !strings.HasPrefix(string(data), "/tmp/renamed") {
+		t.Errorf("tag after ctl rename = %q err=%v, want it to start with /tmp/renamed", data, err)
 	}
 }
 
@@ -179,8 +190,8 @@ func TestPushInvalidationSkipsStat(t *testing.T) {
 // client-side reply budget must cover the whole cap. Budgeting only the
 // base timeout let a maximum-length empty poll on an idle session
 // outlive the client timer and poison the connection — under defaults,
-// StartPushInval killed an idle connection (and every in-flight call on
-// it) roughly every 30 seconds.
+// a subscriber long-polling with wait 0 killed an idle connection (and
+// every in-flight call on it) roughly every 30 seconds.
 func TestReadWaitBudgetCoversServerPark(t *testing.T) {
 	c := &Client{Timeout: 50 * time.Millisecond}
 	if got, want := c.readWaitBudget(0), 50*time.Millisecond+maxReadWait; got != want {
@@ -240,8 +251,9 @@ func TestReadWaitIdleZeroWaitOutlivesClientTimeout(t *testing.T) {
 // share it — but a readwait that parks emits nothing until its event
 // arrives, so a reply batched behind it must be flushed at park time.
 // It used to sit in the write buffer for the whole poll: a client
-// pipelining any op behind a long poll (StartPushInval re-arming while
-// another call is in flight) timed out and poisoned the connection.
+// pipelining any op behind a long poll (a subscriber re-arming its
+// poll while another call is in flight) timed out and poisoned the
+// connection.
 func TestPipelinedReadBehindParkedReadWaitFlushes(t *testing.T) {
 	fs := vfs.New()
 	bus := notify.New()
@@ -275,33 +287,6 @@ func TestPipelinedReadBehindParkedReadWaitFlushes(t *testing.T) {
 	}
 	if resp.Seq != 1 {
 		t.Fatalf("first reply = %+v, want seq 1", resp)
-	}
-}
-
-// TestPushInvalWatcherDeathDisablesCache: a push-invalidation stream
-// the server refuses on a still-healthy connection must not die
-// silently while the cache keeps serving — the failures are counted,
-// retried, and when they persist the cache is disabled, so reads go
-// back to the wire instead of trusting entries nothing invalidates.
-func TestPushInvalWatcherDeathDisablesCache(t *testing.T) {
-	fs := vfs.New()
-	fs.MkdirAll("/d")
-	fs.WriteFile("/d/f", []byte("x"))
-	c, _ := serve(t, fs)
-	reg := obs.New()
-	c.Obs = reg
-	c.SetCache(true)
-	// No /nosuch/log exists: every poll is refused on a healthy conn.
-	stop := c.StartPushInval("/nosuch")
-	defer stop()
-
-	waitFor(t, "watcher to disable the cache", func() bool { return !c.cacheEnabled() })
-	if n := reg.Counter("srvnet.cache.pushinval.err").Load(); n == 0 {
-		t.Error("watcher failures not counted")
-	}
-	// The refusals never poisoned the connection: plain ops still work.
-	if data, err := c.ReadFile("/d/f"); err != nil || string(data) != "x" {
-		t.Fatalf("read after watcher death = %q err=%v, want x", data, err)
 	}
 }
 
@@ -375,30 +360,5 @@ func TestReadWaitFaultMatrix(t *testing.T) {
 			srv.Shutdown(shutdownCtx(t))
 			waitGoroutines(t, base)
 		})
-	}
-}
-
-// TestCacheResetOnRedial is the satellite: dropping the cache on a
-// redial bumps srvnet.cache.reset so operators can see churn.
-func TestCacheResetOnRedial(t *testing.T) {
-	rc, srv, l := matrixWorld(t, func(i int) *faultnet.Script {
-		if i == 0 {
-			return faultnet.NewScript(faultnet.Fault{Op: "write", After: 0, Kind: faultnet.Drop})
-		}
-		return nil
-	})
-	defer l.Close()
-	defer srv.Shutdown(shutdownCtx(t))
-	defer rc.Close()
-	reg := obs.New()
-	rc.Obs = reg
-	rc.CacheReads = true
-
-	// First op dials, hits the dropped reply, redials, succeeds.
-	if _, err := rc.ReadFile("/d/f"); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter("srvnet.cache.reset").Load(); n == 0 {
-		t.Error("cache reset on redial not counted")
 	}
 }

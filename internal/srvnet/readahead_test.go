@@ -27,7 +27,7 @@ func TestReadaheadWindowed(t *testing.T) {
 	const chunk = 64 * 1024
 	var got []byte
 	for off := int64(0); ; {
-		data, _, err := ra.readAt(fs, reg, "/d/huge", off, chunk)
+		data, err := ra.readAt(fs, reg, "/d/huge", off, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestReadaheadWindowed(t *testing.T) {
 
 	// A backward seek outside the current window re-reads there.
 	m0 := reg.StatsMap()["srvnet.readahead.miss"]
-	data, _, err := ra.readAt(fs, reg, "/d/huge", 0, chunk)
+	data, err := ra.readAt(fs, reg, "/d/huge", 0, chunk)
 	if err != nil || !bytes.Equal(data, body[:chunk]) {
 		t.Fatalf("backward read = %d bytes err=%v", len(data), err)
 	}
@@ -63,7 +63,7 @@ func TestReadaheadWindowed(t *testing.T) {
 
 	// A generation bump invalidates even a covered range.
 	fs.WriteFile("/d/huge", []byte("rewritten"))
-	data, _, err = ra.readAt(fs, reg, "/d/huge", 0, chunk)
+	data, err = ra.readAt(fs, reg, "/d/huge", 0, chunk)
 	if err != nil || string(data) != "rewritten" {
 		t.Fatalf("post-write read = %q err=%v", data, err)
 	}

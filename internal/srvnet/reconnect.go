@@ -92,20 +92,6 @@ type ReconnectingClient struct {
 	// with the state entered and the error that caused it (nil for
 	// StateConnected). Called from the operation's goroutine.
 	OnStateChange func(State, error)
-	// CacheReads enables the generation-keyed read cache (see
-	// Client.SetCache) on every dialed connection. Each redial starts
-	// cold: a reconnect may attach to a recovered session whose
-	// generations restart, so nothing cached survives the old
-	// connection. Every such cold start counts as srvnet.cache.reset
-	// and leaves a trace event, so a redial storm that keeps emptying
-	// the cache is visible in /mnt/help/trace.
-	CacheReads bool
-	// PushInvalRoot, when set alongside CacheReads, arms push
-	// invalidation (Client.StartPushInval) on every dialed connection,
-	// long-polling PushInvalRoot+"/log"; the watcher dies with each
-	// connection and is re-armed cold on redial.
-	PushInvalRoot string
-
 	// Obs, when set before the first operation, records retry counts
 	// (srvnet.retries), redials (srvnet.redials), degradation entries
 	// (srvnet.degraded), a trace event per health transition, and —
@@ -189,9 +175,6 @@ func (r *ReconnectingClient) client() (*Client, error) {
 	}
 	c.Timeout = r.opTimeout()
 	c.Obs = r.Obs
-	if r.CacheReads {
-		c.SetCache(true)
-	}
 	if r.Session != "" {
 		if err := c.Attach(r.Session); err != nil {
 			c.Close()
@@ -200,16 +183,6 @@ func (r *ReconnectingClient) client() (*Client, error) {
 	}
 	if r.dialed {
 		r.Obs.Counter("srvnet.redials").Inc()
-		if r.CacheReads {
-			// The redial dropped every cached generation (the recovered
-			// session may have restarted them): account for the cold
-			// start so its cost is attributable.
-			r.Obs.Counter("srvnet.cache.reset").Inc()
-			r.Obs.Event("srvnet.cache", "reset on redial")
-		}
-	}
-	if r.CacheReads && r.PushInvalRoot != "" {
-		c.StartPushInval(r.PushInvalRoot)
 	}
 	r.dialed = true
 	r.c = c
@@ -436,10 +409,9 @@ func (r *ReconnectingClient) Close() error {
 }
 
 // ReadFiles reads several remote files in one pipelined batch: all the
-// requests go out in a single write (cache hits never leave the
-// machine), then the replies are collected. The result is positional;
-// the first failure is returned after every reply has been drained, so
-// the connection stays usable.
+// requests go out in a single write, then the replies are collected.
+// The result is positional; the first failure is returned after every
+// reply has been drained, so the connection stays usable.
 func (r *ReconnectingClient) ReadFiles(paths []string) (datas [][]byte, err error) {
 	err = r.do(true, func(c *Client) error {
 		b := c.NewBatch()

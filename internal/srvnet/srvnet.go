@@ -21,11 +21,11 @@
 //     while the executor runs earlier ones, and replies are coalesced
 //     into batched flushes — the write buffer is only pushed to the
 //     socket when the request queue momentarily drains.
-//   - Every reply that names a target file piggybacks the file's edit
-//     generation (vfs.Info.Gen, fed by text.Buffer.Gen for help
-//     windows). A client-side cache keyed on those generations turns a
-//     re-read of an unchanged file into a pure cache hit with zero wire
-//     traffic; see Client.SetCache for the coherence rules.
+//   - Every read goes to the server: the Client keeps no cache, so a
+//     read returns what the namespace holds when the server serves it.
+//     In /mnt/help writing one file changes another (bodyapp appends to
+//     body, a ctl rename changes tag), which no client cache keyed by
+//     the path it wrote could follow.
 //   - Sequential chunked reads ("readat") are served from a
 //     per-connection readahead slot: the first chunk snapshots the whole
 //     body once, later chunks slice it while the generation holds.
@@ -56,13 +56,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/notify"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -120,13 +117,6 @@ const (
 	// DefaultRetryAfter is the retry-after hint a busy refusal carries
 	// when the refusing budget did not name its own.
 	DefaultRetryAfter = 250 * time.Millisecond
-	// pushInvalFailureLimit bounds the consecutive readwait refusals the
-	// push-invalidation watcher (StartPushInval) tolerates on a healthy
-	// connection before concluding the feed is gone for good and
-	// disabling the cache; retries back off exponentially from
-	// pushInvalBackoff.
-	pushInvalFailureLimit = 4
-	pushInvalBackoff      = 25 * time.Millisecond
 	// defaultReadChunk is the "readat" chunk size when the request
 	// leaves Count zero.
 	defaultReadChunk = 64 * 1024
@@ -860,7 +850,7 @@ type readahead struct {
 }
 
 // readAt serves one chunk through the slot.
-func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, count int64) ([]byte, uint64, error) {
+func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, count int64) ([]byte, error) {
 	if count <= 0 {
 		count = defaultReadChunk
 	}
@@ -879,7 +869,7 @@ func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, cou
 		data, gen, err := fs.ReadFileAt(path, off, window)
 		if err != nil {
 			ra.path = ""
-			return nil, 0, err
+			return nil, err
 		}
 		ra.path, ra.gen, ra.base, ra.data = path, gen, off, data
 		ra.eof = int64(len(data)) < window
@@ -888,21 +878,19 @@ func (ra *readahead) readAt(fs *vfs.FS, reg *obs.Registry, path string, off, cou
 	data := ra.data
 	rel := off - ra.base
 	if rel >= int64(len(data)) {
-		return nil, ra.gen, nil
+		return nil, nil
 	}
 	data = data[rel:]
 	if count < int64(len(data)) {
 		data = data[:count]
 	}
-	return data, ra.gen, nil
+	return data, nil
 }
 
 // handle performs one operation on fs. In single-namespace mode the
 // server's mutex serializes all requests; in mux mode the per-session
 // namespaces serialize themselves, so requests on different sessions
-// proceed in parallel. Replies for operations that name a target file
-// piggyback its edit generation, observed under the same lock as the
-// operation, so client caches stay coherent with what they were told.
+// proceed in parallel.
 func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 	if s.hub == nil {
 		s.mu.Lock()
@@ -913,17 +901,17 @@ func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 	}
 	switch req.Op {
 	case opRead:
-		data, gen, err := fs.ReadFileGen(req.Path)
+		data, err := fs.ReadFile(req.Path)
 		if err != nil {
 			return s.errResp(err)
 		}
-		return response{Data: data, Gen: gen}
+		return response{Data: data}
 	case opReadAt:
-		data, gen, err := ra.readAt(fs, s.Obs, req.Path, req.Offset, req.Count)
+		data, err := ra.readAt(fs, s.Obs, req.Path, req.Offset, req.Count)
 		if err != nil {
 			return s.errResp(err)
 		}
-		return response{Data: data, Gen: gen}
+		return response{Data: data}
 	case opWrite:
 		var err error
 		if req.Append {
@@ -934,7 +922,7 @@ func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 		if err != nil {
 			return s.errResp(err)
 		}
-		return response{Gen: fs.Gen(req.Path)}
+		return response{}
 	case opReadDir:
 		ents, err := fs.ReadDir(req.Path)
 		if err != nil {
@@ -946,7 +934,7 @@ func (s *Server) handle(req request, fs *vfs.FS, ra *readahead) response {
 		if err != nil {
 			return s.errResp(err)
 		}
-		return response{Entries: []vfs.Info{info}, Gen: info.Gen}
+		return response{Entries: []vfs.Info{info}}
 	case opGlob:
 		names := fs.Glob(req.Pattern)
 		out := make([]vfs.Info, len(names))
@@ -1010,12 +998,6 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// cacheEntry is one generation-keyed cached read.
-type cacheEntry struct {
-	gen  uint64
-	data []byte
-}
-
 // Client is a remote namespace handle over one connection. Methods are
 // safe for concurrent use, and — unlike a conventional RPC client — they
 // do not serialize: any number of calls may be in flight at once. Each
@@ -1041,9 +1023,6 @@ type Client struct {
 	closed   bool
 	closeErr error // server refusal to report after poison; nil means ErrClientClosed
 
-	cmu   sync.Mutex
-	cache map[string]cacheEntry // nil when caching is off
-
 	// Timeout bounds each round trip (queueing, write, and reply). Zero
 	// means DefaultRoundTrip — a dead server fails the call instead of
 	// hanging it — and a negative value disables the bound for callers
@@ -1053,10 +1032,9 @@ type Client struct {
 	Timeout time.Duration
 
 	// Obs, when set before first use, records a per-op round-trip
-	// latency histogram (srvnet.read, srvnet.write, ...), cache traffic
-	// (srvnet.cache.hit / srvnet.cache.miss / srvnet.cache.inval), and
-	// the srvnet.inflight up/down counter. ReconnectingClient
-	// propagates its own.
+	// latency histogram (srvnet.read, srvnet.write, ...) and the
+	// srvnet.inflight up/down counter. ReconnectingClient propagates
+	// its own.
 	Obs *obs.Registry
 }
 
@@ -1094,110 +1072,11 @@ func (c *Client) timeout() time.Duration {
 	return DefaultRoundTrip
 }
 
-// SetCache enables (or, with false, disables and empties) the
-// generation-keyed read cache: a ReadFile whose cached generation still
-// stands is served locally with zero wire traffic.
-//
-// Coherence rules: an entry is trusted until this client learns its
-// generation moved — from the generation piggybacked on any later
-// reply that names the file (a Stat is therefore an explicit
-// revalidation), or from a mutation issued through this client, which
-// invalidates the entry before it is sent. The cache dies with the
-// connection: a ReconnectingClient starts every redial cold, because a
-// reconnect may attach to a recovered session whose generations restart.
-// Writes by other clients are only observed through those piggybacked
-// generations, so a strictly-fresh reader should Stat first; files with
-// no generation (gen 0) are never cached.
-func (c *Client) SetCache(on bool) {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if on {
-		if c.cache == nil {
-			c.cache = map[string]cacheEntry{}
-		}
-	} else {
-		c.cache = nil
-	}
-}
-
-// cacheGet returns a copy of the cached contents of path, if trusted.
-// A closed (or poisoned) client never serves from cache: its entries
-// belong to a connection that no longer exists, and the miss routes the
-// caller to the wire, where the failure surfaces and a
-// ReconnectingClient redials cold.
-func (c *Client) cacheGet(path string) ([]byte, bool) {
-	if c.closedNow() {
-		return nil, false
-	}
-	c.cmu.Lock()
-	ent, ok := c.cache[path]
-	c.cmu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), ent.data...), true
-}
-
-func (c *Client) cacheEnabled() bool {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	return c.cache != nil
-}
-
 // closedNow reports whether the connection has been closed or poisoned.
 func (c *Client) closedNow() bool {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	return c.closed
-}
-
-// cachePut stores a read observed at generation gen; gen 0 means the
-// file cannot be validated and is not cached.
-func (c *Client) cachePut(path string, gen uint64, data []byte) {
-	if gen == 0 {
-		return
-	}
-	c.cmu.Lock()
-	if c.cache != nil {
-		c.cache[path] = cacheEntry{gen: gen, data: append([]byte(nil), data...)}
-	}
-	c.cmu.Unlock()
-}
-
-// cacheNote reconciles a piggybacked generation for path: a moved
-// generation proves the cached entry stale.
-func (c *Client) cacheNote(path string, gen uint64) {
-	c.cmu.Lock()
-	if ent, ok := c.cache[path]; ok && ent.gen != gen {
-		delete(c.cache, path)
-		c.cmu.Unlock()
-		c.Obs.Counter("srvnet.cache.inval").Inc()
-		return
-	}
-	c.cmu.Unlock()
-}
-
-// cacheInvalidate drops path unconditionally (a mutation is being
-// issued through this client).
-func (c *Client) cacheInvalidate(path string) {
-	c.cmu.Lock()
-	_, had := c.cache[path]
-	if had {
-		delete(c.cache, path)
-	}
-	c.cmu.Unlock()
-	if had {
-		c.Obs.Counter("srvnet.cache.inval").Inc()
-	}
-}
-
-// cacheFlush empties the cache (the connection switched sessions).
-func (c *Client) cacheFlush() {
-	c.cmu.Lock()
-	if c.cache != nil {
-		c.cache = map[string]cacheEntry{}
-	}
-	c.cmu.Unlock()
 }
 
 // Close closes the connection out of band: it does not wait for
@@ -1401,36 +1280,16 @@ func (c *Client) rpc(req request) (response, error) {
 // Attach selects the session this connection's subsequent operations
 // apply to, on a server that multiplexes sessions (NewMuxServer). The
 // server spawns the session on first attach; re-attaching switches the
-// connection to another session and empties the read cache, whose
-// generations belonged to the old one.
+// connection to another session.
 func (c *Client) Attach(session string) error {
 	_, err := c.rpc(request{Op: opAttach, Path: session})
-	if err == nil {
-		c.cacheFlush()
-	}
 	return err
 }
 
-// ReadFile reads a remote file. With the cache enabled (SetCache), a
-// file whose generation has not moved since the last read is served
-// locally with zero wire traffic.
+// ReadFile reads a remote file.
 func (c *Client) ReadFile(path string) ([]byte, error) {
-	cached := c.cacheEnabled()
-	if cached {
-		if data, ok := c.cacheGet(path); ok {
-			c.Obs.Counter("srvnet.cache.hit").Inc()
-			return data, nil
-		}
-		c.Obs.Counter("srvnet.cache.miss").Inc()
-	}
 	resp, err := c.rpc(request{Op: opRead, Path: path})
-	if err != nil {
-		return resp.Data, err
-	}
-	if cached {
-		c.cachePut(path, resp.Gen, resp.Data)
-	}
-	return resp.Data, nil
+	return resp.Data, err
 }
 
 // ReadFileAt reads up to count bytes of a remote file from byte offset
@@ -1495,163 +1354,32 @@ func (c *Client) readWaitBudget(wait time.Duration) time.Duration {
 	return to + wait
 }
 
-// StartPushInval turns the session's event stream into cache coherence:
-// a background goroutine long-polls root's event log (root+"/log",
-// where root is the help mount, usually "/mnt/help") and drops cached
-// entries the moment their windows change — so a cache hit needs no
-// Stat round trip to be trusted fresh. Each push-driven drop counts as
-// srvnet.cache.pushinval; a stream gap (the subscriber fell too far
-// behind) flushes the whole cache, since anything could have changed in
-// the lost span.
-//
-// The goroutine exits when the connection dies (Close, poison, server
-// gone) or when the returned stop function is called — the cache dies
-// with the connection either way, and a ReconnectingClient re-arms the
-// watcher on the next dial. A readwait refused on a still-healthy
-// connection (wrong root, server draining) must not kill the watcher
-// silently while the cache keeps serving: each refusal flushes the
-// cache (events may be going unheard) and counts as
-// srvnet.cache.pushinval.err, then the poll is retried with backoff;
-// refusals that persist past the retry budget disable the cache
-// entirely and leave a trace event, because a cache with no
-// invalidation feed is unbounded staleness.
-//
-// Invalidation is asynchronous: a read racing an edit may still see the
-// old cached contents until the event lands, which is the same window a
-// polling Stat would have.
-func (c *Client) StartPushInval(root string) (stop func()) {
-	log := vfs.Clean(root + "/log")
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		var since uint64
-		failures := 0
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			data, next, err := c.ReadWait(log, since, 0)
-			if err != nil {
-				if c.closedNow() {
-					// Normal death: cacheGet refuses on a closed client,
-					// so the unwatched cache cannot serve anyone.
-					return
-				}
-				c.cacheFlush()
-				c.Obs.Counter("srvnet.cache.pushinval.err").Inc()
-				failures++
-				if failures >= pushInvalFailureLimit {
-					c.SetCache(false)
-					c.Obs.Event("srvnet.cache", "push invalidation dead, cache disabled: "+err.Error())
-					return
-				}
-				select {
-				case <-done:
-					return
-				case <-time.After(pushInvalBackoff << (failures - 1)):
-				}
-				continue
-			}
-			failures = 0
-			since = next
-			c.applyPushEvents(root, data)
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// applyPushEvents folds a batch of event lines into the cache.
-func (c *Client) applyPushEvents(root string, data []byte) {
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		ev, ok := notify.ParseLine(line)
-		if !ok {
-			continue
-		}
-		switch ev.Kind {
-		case notify.KindGap:
-			// Unknown events were lost; nothing cached can be trusted.
-			c.cacheFlush()
-			c.Obs.Counter("srvnet.cache.pushinval").Inc()
-		case "body", "tag":
-			// Detail is "gen <G>": the generation the window's file
-			// reports after the change. A cached entry at any other
-			// generation is stale. Events published before the bus was
-			// armed carry no detail; gen stays 0 and the entry is
-			// dropped unconditionally (assume stale).
-			gen := uint64(0)
-			if g, ok := strings.CutPrefix(ev.Detail, "gen "); ok {
-				gen, _ = strconv.ParseUint(g, 10, 64)
-			}
-			c.pushInval(vfs.Clean(fmt.Sprintf("%s/%d/%s", root, ev.Window, ev.Kind)), gen)
-		case "del":
-			c.pushInval(vfs.Clean(fmt.Sprintf("%s/%d/body", root, ev.Window)), 0)
-			c.pushInval(vfs.Clean(fmt.Sprintf("%s/%d/tag", root, ev.Window)), 0)
-		}
-	}
-}
-
-// pushInval drops path's cached entry if the pushed generation proves
-// it stale (gen 0 means "unknown, drop unconditionally").
-func (c *Client) pushInval(path string, gen uint64) {
-	c.cmu.Lock()
-	ent, ok := c.cache[path]
-	stale := ok && (gen == 0 || ent.gen != gen)
-	if stale {
-		delete(c.cache, path)
-	}
-	c.cmu.Unlock()
-	if stale {
-		c.Obs.Counter("srvnet.cache.pushinval").Inc()
-	}
-}
-
-// WriteFile writes (replacing) a remote file. The cached entry for the
-// path, if any, is invalidated.
+// WriteFile writes (replacing) a remote file.
 func (c *Client) WriteFile(path string, data []byte) error {
-	c.cacheInvalidate(path)
 	_, err := c.rpc(request{Op: opWrite, Path: path, Data: data})
 	return err
 }
 
-// AppendFile appends to a remote file, invalidating its cached entry.
+// AppendFile appends to a remote file.
 func (c *Client) AppendFile(path string, data []byte) error {
-	c.cacheInvalidate(path)
 	_, err := c.rpc(request{Op: opWrite, Path: path, Data: data, Append: true})
 	return err
 }
 
-// ReadDir lists a remote directory. Piggybacked entry generations
-// revalidate cached reads of the directory's files.
+// ReadDir lists a remote directory.
 func (c *Client) ReadDir(path string) ([]vfs.Info, error) {
 	resp, err := c.rpc(request{Op: opReadDir, Path: path})
 	if err != nil {
 		return nil, err
 	}
-	if c.cacheEnabled() {
-		for _, e := range resp.Entries {
-			if !e.IsDir {
-				c.cacheNote(vfs.Clean(path+"/"+e.Name), e.Gen)
-			}
-		}
-	}
 	return resp.Entries, nil
 }
 
-// Stat describes a remote file. The reply's generation revalidates the
-// cached entry, so Stat-then-ReadFile is the strict-freshness idiom for
-// cached clients.
+// Stat describes a remote file.
 func (c *Client) Stat(path string) (vfs.Info, error) {
 	resp, err := c.rpc(request{Op: opStat, Path: path})
 	if err != nil {
 		return vfs.Info{}, err
-	}
-	if c.cacheEnabled() {
-		c.cacheNote(path, resp.Gen)
 	}
 	return statInfo(resp)
 }
@@ -1680,10 +1408,8 @@ func (c *Client) MkdirAll(path string) error {
 	return err
 }
 
-// Remove deletes a remote file or empty directory, invalidating its
-// cached entry.
+// Remove deletes a remote file or empty directory.
 func (c *Client) Remove(path string) error {
-	c.cacheInvalidate(path)
 	_, err := c.rpc(request{Op: opRemove, Path: path})
 	return err
 }

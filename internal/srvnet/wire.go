@@ -142,8 +142,8 @@ type request struct {
 // response is one wire reply. Seq echoes the request's sequence number;
 // a response the server cannot attribute to a request (a malformed
 // frame, a busy rejection) carries Seq 0 and a Code of codeProto or
-// codeBusy. Gen, when nonzero, is the edit generation of the request's
-// target file observed while serving it — the client cache keys on it.
+// codeBusy. Gen is a readwait reply's resume seq: the seq the
+// subscriber passes as Offset on its next poll.
 type response struct {
 	Seq  uint64
 	Code code

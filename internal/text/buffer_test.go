@@ -599,13 +599,25 @@ func BenchmarkInsertSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertRandom inserts one rune at a seeded offset and deletes
+// one at another, so the buffer stays at 12,000 runes. Every 4,096
+// iterations the buffer is reloaded outside the timer, dropping the
+// undo log the edits accumulate, so ns/op does not depend on b.N.
 func BenchmarkInsertRandom(b *testing.B) {
-	buf := NewBuffer(strings.Repeat("hello world\n", 1000))
+	const every = 4096
+	initial := strings.Repeat("hello world\n", 1000)
+	buf := NewBuffer(initial)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Insert(rng.Intn(buf.Len()+1), "y")
+		buf.Delete(rng.Intn(buf.Len()), 1)
+		if i%every == every-1 {
+			b.StopTimer()
+			buf.Load(initial)
+			b.StartTimer()
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Edge and error paths not covered by the main suite.
@@ -275,4 +278,52 @@ func parentPath(p string) string {
 		return "/"
 	}
 	return p[:i]
+}
+
+// panicWaitDev is a device whose blocking read panics.
+type panicWaitDev struct {
+	testDevice
+}
+
+func (*panicWaitDev) ReadWait(uint64, <-chan struct{}, time.Duration) ([]byte, uint64, error) {
+	panic("boom")
+}
+
+// TestReadWaitPanicCounted: a panicking WaitDevice becomes an error on
+// the call, counts as vfs.panics, leaves a vfs.panic event naming the
+// path and the panic value, and the namespace keeps serving.
+func TestReadWaitPanicCounted(t *testing.T) {
+	fs := New()
+	reg := obs.New()
+	fs.SetObs(reg)
+	if err := fs.RegisterDevice("/dev/log", &panicWaitDev{testDevice{reply: "y"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		_, _, err := fs.ReadWait("/dev/log", 0, nil, time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "internal error: boom") {
+			t.Fatalf("ReadWait err = %v, want the recovered panic", err)
+		}
+		if n := reg.Counter("vfs.panics").Load(); n != i {
+			t.Fatalf("vfs.panics = %d, want %d", n, i)
+		}
+	}
+	found := false
+	for _, sp := range reg.Spans() {
+		if sp.Name == "vfs.panic" && strings.Contains(sp.Attrs, "/dev/log") && strings.Contains(sp.Attrs, "boom") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no vfs.panic event naming the path and value in %+v", reg.Spans())
+	}
+	if data, err := fs.ReadFile("/dev/log"); err != nil || string(data) != "y" {
+		t.Fatalf("device read after panic = %q err=%v", data, err)
+	}
+	if err := fs.WriteFile("/f", []byte("still serving")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := fs.ReadFile("/f"); err != nil || string(data) != "still serving" {
+		t.Fatalf("read after panic = %q err=%v", data, err)
+	}
 }

@@ -12,7 +12,7 @@ func (d *genDev) Gen() uint64 { return d.gen }
 
 // Generations: every visible mutation of a regular file must move its
 // generation, and Stat/ReadDir/ReadFileGen must agree on the value —
-// this is what srvnet's client cache keys on.
+// core's reload check and srvnet's readahead slot validate against it.
 func TestGenMovesOnWrite(t *testing.T) {
 	fs := New()
 	fs.MkdirAll("/d")

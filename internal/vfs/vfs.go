@@ -198,6 +198,10 @@ type fsState struct {
 	// is installed; nil counters are no-ops, keeping lookup alloc-free.
 	lookups  *obs.Counter
 	bindsCtr *obs.Counter
+	// panics counts device panics ReadWait recovered, and reg receives
+	// an event per panic naming the path and the panic value.
+	panics *obs.Counter
+	reg    *obs.Registry
 	// onMutate, when set, observes successful non-device mutations;
 	// see SetOnMutate in dump.go.
 	onMutate func(kind MutKind, p string, data []byte, aux string, flag int)
@@ -245,17 +249,20 @@ func (fs *FS) EnsureSerialized(lk sync.Locker) *FS {
 }
 
 // SetObs installs (or, with nil, removes) observability counters for
-// the namespace: vfs.lookup, the path walk under every operation, and
-// vfs.bind.
+// the namespace: vfs.lookup, the path walk under every operation,
+// vfs.bind, and vfs.panics, the device panics ReadWait recovered (each
+// also leaves a vfs.panic event).
 func (fs *FS) SetObs(r *obs.Registry) {
 	fs.lock()
 	defer fs.unlock()
+	fs.st.reg = r
 	if r == nil {
-		fs.st.lookups, fs.st.bindsCtr = nil, nil
+		fs.st.lookups, fs.st.bindsCtr, fs.st.panics = nil, nil, nil
 		return
 	}
 	fs.st.lookups = r.Counter("vfs.lookup")
 	fs.st.bindsCtr = r.Counter("vfs.bind")
+	fs.st.panics = r.Counter("vfs.panics")
 }
 
 // tick advances and returns the logical clock.
@@ -662,8 +669,7 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 
 // ReadFileGen returns the contents of the file at p together with its
 // edit generation, observed atomically under the namespace lock (a gen
-// of 0 means the file carries none). One lookup serves both, which is
-// what the wire server's gen piggybacking rides on.
+// of 0 means the file carries none). One lookup serves both.
 func (fs *FS) ReadFileGen(p string) ([]byte, uint64, error) {
 	fs.lock()
 	defer fs.unlock()
@@ -781,7 +787,8 @@ func (fs *FS) readDeviceAt(n *node, off, count int64) ([]byte, error) {
 // ReadFileGen, returning the contents and generation immediately, so a
 // remote long poll on an arbitrary path is simply a read. Like every
 // device entry point it is panic-guarded: a handler bug becomes an
-// error on this call, not a dead process.
+// error on this call, not a dead process, and is counted as vfs.panics
+// with a vfs.panic event naming the path and the panic value.
 func (fs *FS) ReadWait(p string, since uint64, stop <-chan struct{}, timeout time.Duration) (data []byte, next uint64, err error) {
 	fs.lock()
 	n, ferr := fs.find(p)
@@ -794,10 +801,15 @@ func (fs *FS) ReadWait(p string, since uint64, stop <-chan struct{}, timeout tim
 		return nil, 0, fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
 	wd, waitable := n.device.(WaitDevice)
+	// The wait runs outside the lock, so the panic instruments are read
+	// here, under it.
+	panics, reg := fs.st.panics, fs.st.reg
 	fs.unlock()
 	if waitable {
 		defer func() {
 			if r := recover(); r != nil {
+				panics.Inc()
+				reg.Event("vfs.panic", fmt.Sprintf("%s: readwait: %v", p, r))
 				data, next, err = nil, 0, fmt.Errorf("%s: readwait: internal error: %v", p, r)
 			}
 		}()
