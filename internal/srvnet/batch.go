@@ -99,12 +99,9 @@ func (f *Future) resolve() {
 		return
 	}
 	f.done = true
-	if f.b != nil {
-		if err := f.b.Flush(); err != nil {
-			// The failed flush poisoned the client; the pending call has
-			// been (or is being) failed — collect that result.
-		}
-	}
+	// A flush error reaches the caller through the call itself: the
+	// broken connection fails it, by poison or by wait's timeout.
+	_ = f.b.Flush()
 	f.resp, f.err = f.b.c.wait(f.op.String(), f.call)
 }
 
